@@ -1,17 +1,24 @@
 /**
  * @file
- * Struct-of-arrays snapshot of the battery fleet's per-rack hot state.
+ * Struct-of-arrays rows of the battery fleet's per-rack hot state.
  *
  * The charging-event engine samples the same handful of per-rack
  * quantities every physics step (IT load, recharge power, cap,
  * input/hold/charge-completion flags). Walking 316 rack objects and
  * their shelves for each read costs far more than the reads
- * themselves, so power::Topology::stepRacks() refreshes this batch —
- * one row per rack, rack id == row index — in the same pass that
- * advances the physics, and the sampling loop then runs over dense
- * arrays. Rows hold exactly the values the object walk would have
- * produced at the post-step state; they are snapshots, not caches
- * with invalidation.
+ * themselves, so the sampling loop runs over these dense arrays
+ * instead — one row per rack, rack id == row index.
+ *
+ * Two writers keep the rows current:
+ *  - the load rows (itLoadW, capW) are written by the rack's load
+ *    setters (Rack::setItDemand / setCapAmount / uncap) at mutation
+ *    time;
+ *  - every other row is refreshed by power::Topology::stepRacks() from
+ *    the post-step state of each rack it visits. A rack in the sleep
+ *    set is not visited, but its rows cannot have moved: it only sleeps
+ *    while its shelf is unchanged.
+ *
+ * The last row is that sleep set.
  */
 
 #ifndef DCBATT_BATTERY_FLEET_STATE_H_
@@ -43,6 +50,14 @@ struct FleetState
     /** PowerShelf::cvCount() (charging BBUs in the CV phase). */
     std::vector<std::int32_t> cvBbus;
 
+    /**
+     * 1 while the rack's next step is provably PowerShelf::step's
+     * quiescent early return: its last dt > 0 step left input on and
+     * nothing charging, and no shelf mutation has happened since (the
+     * shelf's dirty callback clears the flag).
+     */
+    std::vector<std::uint8_t> asleep;
+
     void
     resize(std::size_t racks)
     {
@@ -54,6 +69,7 @@ struct FleetState
         fullyCharged.assign(racks, 1);
         chargingBbus.assign(racks, 0);
         cvBbus.assign(racks, 0);
+        asleep.assign(racks, 0);
     }
 
     std::size_t size() const { return itLoadW.size(); }

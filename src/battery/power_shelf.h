@@ -216,7 +216,9 @@ class PowerShelf
      * Tally of how the per-step integrator ran, kept as plain members
      * so the hot loop pays one increment and the observability layer
      * can fold the totals into the metrics registry once per event
-     * (see runChargingEvent) instead of per step.
+     * (see runChargingEvent) instead of per step. Steps a topology
+     * skips while the rack sleeps never reach step(); read the
+     * fleet's full tally through power::Topology::shelfStepStats().
      */
     struct StepStats
     {
@@ -224,6 +226,16 @@ class PowerShelf
         uint64_t lockstepSteps = 0;  ///< one representative integrated
         uint64_t fullSteps = 0;      ///< twin-compare walk over packs
         uint64_t materializations = 0; ///< lockstep exits (twin copies)
+
+        StepStats &
+        operator+=(const StepStats &other)
+        {
+            quiescentSteps += other.quiescentSteps;
+            lockstepSteps += other.lockstepSteps;
+            fullSteps += other.fullSteps;
+            materializations += other.materializations;
+            return *this;
+        }
     };
     const StepStats &stepStats() const { return stepStats_; }
 

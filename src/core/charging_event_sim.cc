@@ -383,9 +383,9 @@ runChargingEvent(const ChargingEventConfig &config,
         topo.observeBreakers(dt);
 
         // Sample fleet-level series from the power sums stepRacks
-        // folded over the struct-of-arrays rows it just refreshed (no
-        // rack mutates between the step and this read, so the sums
-        // equal the object walk exactly).
+        // folded over the struct-of-arrays rows (no rack mutates
+        // between the step and this read, so the sums equal the
+        // object walk exactly).
         const battery::FleetState &fleet = topo.fleet();
         const power::Topology::StepPowerTotals &totals =
             topo.stepPowerTotals();
@@ -497,14 +497,7 @@ runChargingEvent(const ChargingEventConfig &config,
     DCBATT_COUNT_N("core.sla_met", sla_met);
     DCBATT_COUNT_N("core.sla_missed",
                    static_cast<uint64_t>(n_racks) - sla_met);
-    battery::PowerShelf::StepStats shelf{};
-    for (int i = 0; i < n_racks; ++i) {
-        const auto &stats = topo.rack(i).shelf().stepStats();
-        shelf.quiescentSteps += stats.quiescentSteps;
-        shelf.lockstepSteps += stats.lockstepSteps;
-        shelf.fullSteps += stats.fullSteps;
-        shelf.materializations += stats.materializations;
-    }
+    const battery::PowerShelf::StepStats shelf = topo.shelfStepStats();
     DCBATT_COUNT_N("battery.shelf_quiescent_steps",
                    shelf.quiescentSteps);
     DCBATT_COUNT_N("battery.shelf_lockstep_steps", shelf.lockstepSteps);

@@ -15,10 +15,22 @@ Rack::Rack(int id, std::string name, Priority priority,
       shelf_(std::move(policy), params)
 {
     // Shelf-level mutations (overrides, holds, failures, input-power
-    // transitions) change this rack's draw; propagate them to the
-    // cached topology aggregates. Racks live behind stable unique_ptrs
-    // in Topology, so capturing `this` is safe.
-    shelf_.setDirtyCallback([this] { markPowerDirty(); });
+    // transitions, mutable BBU access) change this rack's draw and may
+    // end its quiescence: propagate them to the cached topology
+    // aggregates and wake the rack. Racks live behind stable
+    // unique_ptrs in Topology, so capturing `this` is safe.
+    shelf_.setDirtyCallback([this] {
+        markPowerDirty();
+        if (fleet_)
+            fleet_->asleep[static_cast<size_t>(id_)] = 0;
+    });
+}
+
+void
+Rack::attachFleet(battery::FleetState *fleet)
+{
+    fleet_ = fleet;
+    noteLoadChange();
 }
 
 void
@@ -26,6 +38,17 @@ Rack::markPowerDirty()
 {
     if (node_)
         node_->invalidatePower();
+}
+
+void
+Rack::noteLoadChange()
+{
+    markPowerDirty();
+    if (fleet_) {
+        auto row = static_cast<size_t>(id_);
+        fleet_->itLoadW[row] = itLoad().value();
+        fleet_->capW[row] = capAmount_.value();
+    }
 }
 
 void
@@ -40,7 +63,7 @@ Rack::setCapAmount(Watts amount)
     Watts clamped = util::max(amount, Watts(0.0));
     if (clamped.value() != capAmount_.value()) {
         capAmount_ = clamped;
-        markPowerDirty();
+        noteLoadChange();
     }
 }
 

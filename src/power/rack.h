@@ -17,6 +17,7 @@
 #include <memory>
 #include <string>
 
+#include "battery/fleet_state.h"
 #include "battery/power_shelf.h"
 #include "power/priority.h"
 #include "util/units.h"
@@ -55,7 +56,7 @@ class Rack
     {
         if (demand.value() != itDemand_.value()) {
             itDemand_ = demand;
-            markPowerDirty();
+            noteLoadChange();
         }
     }
 
@@ -72,7 +73,7 @@ class Rack
     {
         if (capAmount_.value() != 0.0) {
             capAmount_ = util::Watts(0.0);
-            markPowerDirty();
+            noteLoadChange();
         }
     }
 
@@ -154,15 +155,30 @@ class Rack
      */
     void attachNode(PowerNode *node) { node_ = node; }
 
+    /**
+     * Wire up the topology's fleet rows (row id() is this rack's).
+     * From then on the load setters write the itLoadW and capW rows
+     * as they change, and every shelf mutation wakes the rack out of
+     * the topology's sleep set (see Topology::stepRacks).
+     */
+    void attachFleet(battery::FleetState *fleet);
+
   private:
     /** Invalidate the cached power sums above this rack (if wired). */
     void markPowerDirty();
+    /**
+     * IT demand or cap changed: invalidate the power sums and rewrite
+     * the load rows. The shelf is untouched, so a sleeping rack stays
+     * asleep.
+     */
+    void noteLoadChange();
 
     int id_;
     std::string name_;
     Priority priority_;
     battery::PowerShelf shelf_;
     PowerNode *node_ = nullptr;
+    battery::FleetState *fleet_ = nullptr;
     util::Watts itDemand_{0.0};
     util::Watts capAmount_{0.0};
     bool sawOutage_ = false;

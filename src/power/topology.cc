@@ -301,6 +301,8 @@ Topology::build(const TopologySpec &spec,
         util::fatal("Topology::build: topology has no racks");
     topo.fleet_ = std::make_unique<battery::FleetState>();
     topo.fleet_->resize(topo.rackPtrs_.size());
+    for (Rack *rack : topo.rackPtrs_)
+        rack->attachFleet(topo.fleet_.get());
     return topo;
 }
 
@@ -322,14 +324,23 @@ Topology::stepRacks(Seconds dt)
     DCBATT_ASSERT(fleet.size() == rackPtrs_.size(),
                   "fleet rows %zu != racks %zu", fleet.size(),
                   rackPtrs_.size());
-    // Phase 1: stage every rack whose step is a lockstep integration
-    // over one interior CC/CV segment; step the rest in place. Racks
-    // are independent within a step, so reordering the staged racks'
+    // Phase 1: skip the sleep set (each sleeper's step would be the
+    // shelf's quiescent early return: no state change, one tally);
+    // stage every rack whose step is a lockstep integration over one
+    // interior CC/CV segment; step the rest in place. Racks are
+    // independent within a step, so reordering the staged racks'
     // integration after the stragglers' changes nothing.
     batchStage_.clear();
     batchLanes_.clear();
+    visited_.clear();
     const bool batching = battery::batchChargingEnabled();
-    for (Rack *rack : rackPtrs_) {
+    const bool advancing = dt.value() > 0.0;
+    const size_t n = fleet.size();
+    for (size_t i = 0; i < n; ++i) {
+        if (fleet.asleep[i])
+            continue;
+        Rack *rack = rackPtrs_[i];
+        visited_.push_back(rack);
         battery::BatchLaneKind kind = batching
             ? rack->tryExportBatchLane(dt, batchStage_)
             : battery::BatchLaneKind::None;
@@ -356,24 +367,30 @@ Topology::stepRacks(Seconds dt)
             lane.rack->applyBatchLane(lane.kind, idx, batchStage_);
         }
     }
-    // Phase 3: refresh the fleet rows from the post-step state.
-    for (Rack *rack : rackPtrs_) {
+    // Phase 3: refresh the visited racks' shelf rows from the
+    // post-step state (the load rows are already current) and put the
+    // quiescent ones to sleep. Every rack not visited took a quiescent
+    // step the shelf's own tally did not see.
+    if (advancing)
+        sleptSteps_ += n - visited_.size();
+    for (const Rack *rack : visited_) {
         const Rack &r = *rack;
+        const battery::PowerShelf &shelf = r.shelf();
         auto i = static_cast<size_t>(r.id());
-        fleet.itLoadW[i] = r.itLoad().value();
+        const bool input_on = r.inputPowerOn();
+        const int charging = shelf.chargingCount();
         fleet.rechargeW[i] = r.rechargePower().value();
-        fleet.capW[i] = r.capAmount().value();
-        fleet.inputOn[i] = r.inputPowerOn() ? 1 : 0;
-        fleet.held[i] = r.shelf().chargingHeld() ? 1 : 0;
-        fleet.fullyCharged[i] = r.shelf().fullyCharged() ? 1 : 0;
-        fleet.chargingBbus[i] = r.shelf().chargingCount();
-        fleet.cvBbus[i] = r.shelf().cvCount();
+        fleet.inputOn[i] = input_on ? 1 : 0;
+        fleet.held[i] = shelf.chargingHeld() ? 1 : 0;
+        fleet.fullyCharged[i] = shelf.fullyCharged() ? 1 : 0;
+        fleet.chargingBbus[i] = charging;
+        fleet.cvBbus[i] = shelf.cvCount();
+        fleet.asleep[i] = advancing && input_on && charging == 0 ? 1 : 0;
     }
-    // Fold the fleet power sums while the rows are in cache, in row
-    // order — bit-identical to the per-step walk the consumers
+    // Fold the fleet power sums over every row in row order —
+    // bit-identical to the per-step walk the consumers
     // (charging_event_sim's sampler) used to run themselves.
     StepPowerTotals totals;
-    const size_t n = fleet.size();
     for (size_t i = 0; i < n; ++i) {
         if (fleet.inputOn[i])
             totals.itW += fleet.itLoadW[i];
@@ -381,6 +398,16 @@ Topology::stepRacks(Seconds dt)
         totals.capW += fleet.capW[i];
     }
     stepTotals_ = totals;
+}
+
+battery::PowerShelf::StepStats
+Topology::shelfStepStats() const
+{
+    battery::PowerShelf::StepStats stats{};
+    for (const Rack *rack : rackPtrs_)
+        stats += rack->shelf().stepStats();
+    stats.quiescentSteps += sleptSteps_;
+    return stats;
 }
 
 void

@@ -15,6 +15,7 @@
 #ifndef DCBATT_POWER_TOPOLOGY_H_
 #define DCBATT_POWER_TOPOLOGY_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -164,23 +165,41 @@ class Topology
 
     /**
      * Advance every rack's physics by dt in one batch pass, refreshing
-     * the struct-of-arrays fleet snapshot as it goes.
+     * the struct-of-arrays fleet rows as it goes.
+     *
+     * Racks in the sleep set are not visited. A rack falls asleep
+     * after a dt > 0 step that leaves its input on and no BBU
+     * charging — exactly when PowerShelf::step's next call would take
+     * its quiescent early return. IT-demand and cap changes leave it
+     * asleep; the shelf's dirty callback (hold/resume, override,
+     * fail/repair, input loss/restore, mutable bbu() access) wakes it,
+     * and the next call steps and re-checks it. Skipped dt > 0 steps
+     * are counted (see shelfStepStats()).
      */
     void stepRacks(util::Seconds dt);
 
     /**
-     * Per-rack hot-state rows (rack id == row index), refreshed by
-     * stepRacks(). Valid between a stepRacks() call and the next
-     * rack mutation.
+     * Per-rack hot-state rows (rack id == row index). itLoadW and capW
+     * are current at mutation time (the rack's load setters write
+     * them); the other rows are refreshed by stepRacks() and hold the
+     * post-step state of the last call.
      */
     const battery::FleetState &fleet() const { return *fleet_; }
 
     /**
+     * The shelves' StepStats summed over the fleet, with the dt > 0
+     * steps stepRacks() skipped for sleeping racks folded into
+     * quiescentSteps — the tally the shelves themselves would have
+     * kept had every rack stepped on every call.
+     */
+    battery::PowerShelf::StepStats shelfStepStats() const;
+
+    /**
      * Fleet-wide power sums of the last stepRacks() call, folded in
-     * row order over the rows it just refreshed (the rows are hot in
-     * cache there; per-step consumers would otherwise re-walk the
-     * fleet every physics tick). itW counts powered racks only,
-     * matching the per-row predicate `inputOn`.
+     * one dense pass over every row in row order, sleeping racks
+     * included (per-step consumers would otherwise re-walk the fleet
+     * every physics tick). itW counts powered racks only, matching
+     * the per-row predicate `inputOn`.
      */
     struct StepPowerTotals
     {
@@ -232,6 +251,10 @@ class Topology
     std::unique_ptr<battery::BatchChargeKernel> batchKernel_;
     battery::BatchChargeStage batchStage_;
     std::vector<BatchLaneRef> batchLanes_;
+    /** Racks stepRacks() visited this call, in row order (scratch). */
+    std::vector<Rack *> visited_;
+    /** Rack-steps with dt > 0 skipped because the rack slept. */
+    uint64_t sleptSteps_ = 0;
     StepPowerTotals stepTotals_;
     PowerNode *root_ = nullptr;
 };

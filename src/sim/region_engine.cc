@@ -112,16 +112,16 @@ class MsbShard
                                      toTicks(otStart_),
                                      toTicks(otLength_));
         queue_->schedule(toTicks(chargeStart_), [this] {
-            const int racks = spec_->racksPerMsb;
+            const int n_racks = spec_->racksPerMsb;
             double dod_sum = 0.0;
-            for (int i = 0; i < racks; ++i) {
+            for (int i = 0; i < n_racks; ++i) {
                 auto idx = static_cast<size_t>(i);
                 double dod = topo_.rack(i).shelf().meanDod();
                 initialDod_[idx] = dod;
                 sawOutage_[idx] = topo_.rack(i).sawOutage() ? 1 : 0;
                 dod_sum += dod;
             }
-            meanInitialDod_ = dod_sum / racks;
+            meanInitialDod_ = dod_sum / n_racks;
         });
 
         if (spec.auditInterval) {

@@ -17,12 +17,16 @@ using util::Seconds;
 
 namespace {
 
-/** Diurnal shape: cosine peaking at the configured time of day. */
+/**
+ * Diurnal shape: cosine peaking at the configured time of day, shifted
+ * by @p shift_s seconds (a phase in hours times 3600, as
+ * trace_generator.cc computes it inline).
+ */
 double
-diurnalShape(double t_s, double peak_s, double phase_shift_h)
+diurnalShape(double t_s, double peak_s, double shift_s)
 {
     constexpr double day = 24.0 * 3600.0;
-    double shifted = t_s - peak_s - phase_shift_h * 3600.0;
+    double shifted = t_s - peak_s - shift_s;
     return std::cos(2.0 * std::numbers::pi * shifted / day);
 }
 
@@ -63,8 +67,8 @@ StreamingTraceSource::StreamingTraceSource(StreamingTraceSpec spec)
     auto racks = static_cast<size_t>(base.rackCount);
     params_.base.resize(racks);
     params_.amplitude.resize(racks);
-    params_.phase.resize(racks);
-    params_.noiseSigma.resize(racks);
+    params_.phaseShiftS.resize(racks);
+    params_.innovationSigma.resize(racks);
     params_.noiseRho.resize(racks);
     std::vector<double> ar(racks);
     util::Rng rng(util::Rng::substreamSeed(base.seed, 0));
@@ -79,10 +83,13 @@ StreamingTraceSource::StreamingTraceSource(StreamingTraceSpec spec)
                           prof.baseSpread.value());
         params_.amplitude[i] =
             prof.diurnalAmplitude * rng.uniform(0.7, 1.3);
-        params_.phase[i] =
+        double phase_h =
             prof.diurnalPhaseShift + rng.uniform(-1.0, 1.0);
-        params_.noiseSigma[i] = prof.noiseSigma;
-        params_.noiseRho[i] = prof.noisePersistence;
+        params_.phaseShiftS[i] = phase_h * 3600.0;
+        double rho = prof.noisePersistence;
+        params_.innovationSigma[i] =
+            prof.noiseSigma * std::sqrt(1.0 - rho * rho);
+        params_.noiseRho[i] = rho;
         ar[i] = rng.normal(0.0, prof.noiseSigma);
     }
     checkpoints_.push_back(std::move(ar));
@@ -117,14 +124,12 @@ StreamingTraceSource::generateWindow(size_t w)
         double *row = data + s * racks;
         double raw_sum = 0.0;
         for (size_t i = 0; i < racks; ++i) {
-            double rho = params_.noiseRho[i];
-            double innovation = rng.normal(
-                0.0,
-                params_.noiseSigma[i] * std::sqrt(1.0 - rho * rho));
-            ar[i] = rho * ar[i] + innovation;
+            double innovation =
+                rng.normal(0.0, params_.innovationSigma[i]);
+            ar[i] = params_.noiseRho[i] * ar[i] + innovation;
             double shape = 1.0
                 + params_.amplitude[i] * weekly
-                    * diurnalShape(t, peak_s, params_.phase[i])
+                    * diurnalShape(t, peak_s, params_.phaseShiftS[i])
                 + ar[i];
             double watts = std::clamp(params_.base[i] * shape,
                                       base.rackMinPower.value(),

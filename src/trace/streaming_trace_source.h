@@ -182,13 +182,20 @@ class StreamingTraceSource
     TraceSet materialize();
 
   private:
-    /** Per-rack static load parameters (drawn once from substream 0). */
+    /**
+     * Per-rack static load parameters (drawn once from substream 0),
+     * kept in the form the per-sample loop consumes: the diurnal
+     * phase as a shift in seconds and the AR(1) innovation sigma,
+     * each computed once with the expression the loop would repeat.
+     */
     struct RackParams
     {
         std::vector<double> base;
         std::vector<double> amplitude;
-        std::vector<double> phase;
-        std::vector<double> noiseSigma;
+        /** Diurnal phase shift in seconds (phase hours * 3600). */
+        std::vector<double> phaseShiftS;
+        /** noiseSigma * sqrt(1 - rho^2). */
+        std::vector<double> innovationSigma;
         std::vector<double> noiseRho;
     };
 

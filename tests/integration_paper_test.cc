@@ -9,7 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+
 #include "core/charging_event_sim.h"
+#include "obs/metrics.h"
 #include "trace/trace_generator.h"
 
 namespace dcbatt::core {
@@ -186,6 +190,32 @@ TEST_F(PaperScaleTest, Fig15_AllP1PriorityAwareBeatsGlobal)
                             .slaMetTotal();
     }
     EXPECT_GT(pa_total, global_total * 3 / 2);
+}
+
+TEST_F(PaperScaleTest, ShelfPathCountersPinned)
+{
+    // How the shelves of one paper-scale event were stepped. Topology
+    // skips sleeping (quiescent) racks and folds the skipped steps back
+    // into the quiescent tally, so these must equal the counts of a
+    // stepper that calls PowerShelf::step for every rack on every
+    // physics step — which is where the expected values come from.
+    static constexpr std::array<const char *, 4> kNames = {
+        "battery.shelf_quiescent_steps",
+        "battery.shelf_lockstep_steps",
+        "battery.shelf_full_steps",
+        "battery.twin_materializations",
+    };
+    std::array<uint64_t, 4> before{};
+    for (size_t k = 0; k < kNames.size(); ++k)
+        before[k] = obs::counter(kNames[k]).value();
+    run(PolicyKind::PriorityAware, 2.4, 0.5);
+    std::array<uint64_t, 4> delta{};
+    for (size_t k = 0; k < kNames.size(); ++k)
+        delta[k] = obs::counter(kNames[k]).value() - before[k];
+    EXPECT_EQ(delta[0], 1191360u) << kNames[0];
+    EXPECT_EQ(delta[1], 878809u) << kNames[1];
+    EXPECT_EQ(delta[2], 15431u) << kNames[2];
+    EXPECT_EQ(delta[3], 15431u) << kNames[3];
 }
 
 } // namespace

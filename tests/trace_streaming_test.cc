@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "trace/streaming_trace_source.h"
@@ -113,6 +115,24 @@ TEST(StreamingTrace, ResidentMemoryIsBounded)
     }
     EXPECT_LE(source.stats().peakResidentBytes, 3 * window_bytes);
     EXPECT_GT(source.stats().evictions, 0u);
+}
+
+TEST(StreamingTrace, BytesPinned)
+{
+    // FNV-1a over every sample's bits. Pins the synthesis arithmetic
+    // itself: the other tests compare the source with itself, so a
+    // reordered or re-associated per-sample expression would pass
+    // them while moving every region result.
+    StreamingTraceSource source(smallSpec(1200, 2));
+    uint64_t hash = 14695981039346656037ULL;
+    for (double w : forwardWalk(source)) {
+        auto bits = std::bit_cast<uint64_t>(w);
+        for (int byte = 0; byte < 8; ++byte) {
+            hash ^= (bits >> (8 * byte)) & 0xffU;
+            hash *= 1099511628211ULL;
+        }
+    }
+    EXPECT_EQ(hash, 381927544425548360ULL);
 }
 
 TEST(StreamingTrace, MaterializeMatchesPagedReads)
