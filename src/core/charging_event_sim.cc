@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <memory>
 
 #include "battery/power_shelf.h"
-#include "core/charging_invariants.h"
 #include "core/global_coordinator.h"
 #include "core/local_coordinator.h"
 #include "obs/crash_bundle.h"
@@ -16,15 +14,12 @@
 #include "obs/trace_span.h"
 #include "power/topology.h"
 #include "sim/event_queue.h"
-#include "sim/invariant_auditor.h"
 #include "util/arena.h"
 #include "util/check.h"
 #include "util/logging.h"
 
 namespace dcbatt::core {
 
-using power::Priority;
-using power::Rack;
 using util::Seconds;
 using util::Watts;
 
@@ -123,8 +118,6 @@ runChargingEvent(const ChargingEventConfig &config,
     spec.rppLimit = util::megawatts(50.0);
     spec.priorities = config.priorities;
     spec.bbuParams = config.bbuParams;
-    power::Topology topo =
-        power::Topology::build(spec, makeLocalCharger(config));
 
     // --- event timing ----------------------------------------------
     const util::TimeSeries &aggregate = traces.aggregate();
@@ -157,11 +150,15 @@ runChargingEvent(const ChargingEventConfig &config,
 
     // --- control plane ----------------------------------------------
     sim::EventQueue queue;
-    auto coordinator = makeCoordinator(config);
-    dynamo::ControlPlane plane(topo, topo.root(), queue,
-                               coordinator.get(),
-                               config.controllerConfig);
-    plane.start();
+    TraceSetFeed feed(traces, t0);
+    std::unique_ptr<dynamo::ChargingCoordinator> coordinator =
+        makeCoordinator(config);
+    const auto *pac =
+        dynamic_cast<const PriorityAwareCoordinator *>(coordinator.get());
+    MsbRun run(queue, power::Topology::build(spec, makeLocalCharger(config)),
+               std::move(coordinator), config.controllerConfig, feed);
+    power::Topology &topo = run.topology();
+    dynamo::ControlPlane &plane = run.plane();
 
     // --- flight recorder ---------------------------------------------
     // Every sink below is a side channel gated on process-wide arming:
@@ -261,28 +258,6 @@ runChargingEvent(const ChargingEventConfig &config,
         });
     }
 
-    // Open transition at the peak. Sim time 0 == trace time t0.
-    auto to_tick = [&](Seconds trace_time) {
-        return sim::toTicks(trace_time - t0);
-    };
-    topo.scheduleOpenTransition(queue, topo.root(),
-                                to_tick(peak_time),
-                                sim::toTicks(ot_length));
-
-    // Optional in-flight physical-invariant auditing. The auditor
-    // rides the same event queue as the physics and control plane; a
-    // violation aborts through the DCBATT contract machinery.
-    std::unique_ptr<sim::InvariantAuditor> auditor;
-    if (config.auditInterval) {
-        auditor = std::make_unique<sim::InvariantAuditor>(
-            queue, sim::toTicks(*config.auditInterval));
-        registerChargingInvariants(
-            *auditor, topo,
-            dynamic_cast<const PriorityAwareCoordinator *>(
-                coordinator.get()));
-        auditor->start();
-    }
-
     // --- result plumbing ---------------------------------------------
     ChargingEventResult result;
     result.limit = config.msbLimit;
@@ -305,42 +280,33 @@ runChargingEvent(const ChargingEventConfig &config,
     result.itPower.reserve(samples);
     result.rechargePower.reserve(samples);
     result.capPower.reserve(samples);
-    result.racks.assign(static_cast<size_t>(n_racks), RackOutcome{});
-    for (int i = 0; i < n_racks; ++i) {
-        RackOutcome &outcome = result.racks[static_cast<size_t>(i)];
-        outcome.rackId = i;
-        outcome.priority = topo.rack(i).priority();
-    }
 
-    // Snapshot the per-rack DOD at the instant charging begins. This
-    // event is scheduled after the restore event at the same tick, so
-    // FIFO ordering guarantees the batteries have switched to charging
-    // but not yet absorbed any charge.
-    queue.schedule(to_tick(peak_time + ot_length), [&] {
-        double dod_sum = 0.0;
-        for (int i = 0; i < n_racks; ++i) {
-            double dod = topo.rack(i).shelf().meanDod();
-            result.racks[static_cast<size_t>(i)].initialDod = dod;
-            result.racks[static_cast<size_t>(i)].sawOutage =
-                topo.rack(i).sawOutage();
-            dod_sum += dod;
-        }
-        result.meanInitialDod = dod_sum / n_racks;
-        if (events_on) {
-            double t_s = result.chargeStart.value();
-            for (int i = 0; i < n_racks; ++i) {
-                const RackOutcome &outcome =
-                    result.racks[static_cast<size_t>(i)];
-                obs::logEvent(
-                    t_s, "charge_start",
-                    {{"rack", static_cast<double>(i)},
-                     {"priority",
-                      static_cast<double>(power::priorityIndex(
-                                              outcome.priority)
-                                          + 1)},
-                     {"dod", outcome.initialDod}});
-            }
-        }
+    // Open transition at the peak. Sim time 0 == trace time t0.
+    auto to_tick = [&](Seconds trace_time) {
+        return sim::toTicks(trace_time - t0);
+    };
+    MsbSchedule schedule;
+    schedule.otStart = to_tick(peak_time);
+    schedule.otLength = sim::toTicks(ot_length);
+    schedule.chargeStartTick = to_tick(peak_time + ot_length);
+    schedule.chargeStart = result.chargeStart;
+    schedule.physicsStep = config.physicsStep;
+    schedule.auditInterval = config.auditInterval;
+    // Fleet-level series come from the power sums stepRacks folded
+    // over the struct-of-arrays rows; "MSB power" here is the root
+    // node's aggregate input power (the Fig. 13 series).
+    run.start(schedule, [&](Seconds sim_now) {
+        const power::Topology::StepPowerTotals &totals =
+            topo.stepPowerTotals();
+        Watts msb = topo.root().inputPower();
+        result.msbPower.append(msb.value());
+        result.itPower.append(totals.itW);
+        result.rechargePower.append(totals.rechargeW);
+        result.capPower.append(totals.capW);
+        if (msb > config.msbLimit)
+            ++result.overloadSteps;
+        if (recorder)
+            recorder->sampleAt(sim_now.value());
     });
 
     if (events_on) {
@@ -354,112 +320,17 @@ runChargingEvent(const ChargingEventConfig &config,
             {{"policy", toString(config.policy)}});
     }
 
-    // --- physics loop -------------------------------------------------
-    uint8_t *done =
-        event_arena.allocateArray<uint8_t>(static_cast<size_t>(n_racks));
-    /** Per-rack "was any BBU in CV" flags for CC→CV transition events. */
-    uint8_t *was_cv = events_on
-        ? event_arena.allocateArray<uint8_t>(static_cast<size_t>(n_racks))
-        : nullptr;
-    size_t last_trace_idx = std::numeric_limits<size_t>::max();
-    const Seconds dt = config.physicsStep;
-    sim::PeriodicTask physics(queue, sim::toTicks(dt),
-                              [&](sim::Tick now) {
-        Seconds trace_time = t0 + sim::toSeconds(now);
-        // Every rack trace shares one clock, so one indexAt() resolves
-        // all the samples; when the trace index has not advanced since
-        // the previous physics tick every demand is unchanged and the
-        // update loop is skipped (setItDemand would ignore the equal
-        // value anyway, but not for free).
-        size_t trace_idx = traces.rack(0).indexAt(trace_time);
-        if (trace_idx != last_trace_idx) {
-            last_trace_idx = trace_idx;
-            for (int i = 0; i < n_racks; ++i) {
-                topo.rack(i).setItDemand(
-                    Watts(traces.rack(i)[trace_idx]));
-            }
-        }
-        topo.stepRacks(dt);
-        topo.observeBreakers(dt);
-
-        // Sample fleet-level series from the power sums stepRacks
-        // folded over the struct-of-arrays rows (no rack mutates
-        // between the step and this read, so the sums equal the
-        // object walk exactly).
-        const battery::FleetState &fleet = topo.fleet();
-        const power::Topology::StepPowerTotals &totals =
-            topo.stepPowerTotals();
-        Watts msb = topo.root().inputPower();
-        result.msbPower.append(msb.value());
-        result.itPower.append(totals.itW);
-        result.rechargePower.append(totals.rechargeW);
-        result.capPower.append(totals.capW);
-        if (msb > config.msbLimit)
-            ++result.overloadSteps;
-
-        // One pass over the rows: sticky cap/hold flags plus
-        // charge-completion detection (the latter armed only once
-        // charging has begun).
-        Seconds sim_now = sim::toSeconds(now);
-        const bool after_start = sim_now > result.chargeStart;
-        for (int i = 0; i < n_racks; ++i) {
-            auto idx = static_cast<size_t>(i);
-            if (fleet.capW[idx] > 0.0)
-                result.racks[idx].everCapped = true;
-            if (fleet.held[idx])
-                result.racks[idx].everHeld = true;
-            if (!after_start || done[idx])
-                continue;
-            if (fleet.fullyCharged[idx]) {
-                done[idx] = true;
-                result.racks[idx].chargeDuration =
-                    sim_now - result.chargeStart;
-                if (events_on) {
-                    obs::logEvent(
-                        sim_now.value(), "charge_finish",
-                        {{"rack", static_cast<double>(i)},
-                         {"duration_s",
-                          result.racks[idx]
-                              .chargeDuration->value()}});
-                }
-            }
-        }
-
-        // Flight recorder side channels: CC→CV transition events and
-        // the sim-time-cadence telemetry tape. Both read state the
-        // loop above already refreshed; neither mutates anything the
-        // simulation reads back.
-        if (events_on) {
-            for (int i = 0; i < n_racks; ++i) {
-                auto idx = static_cast<size_t>(i);
-                bool cv = fleet.cvBbus[idx] > 0;
-                if (cv && !was_cv[idx]) {
-                    obs::logEvent(
-                        sim_now.value(), "cc_cv_transition",
-                        {{"rack", static_cast<double>(i)},
-                         {"cv_bbus", static_cast<double>(
-                                         fleet.cvBbus[idx])}});
-                }
-                was_cv[idx] = cv;
-            }
-        }
-        if (recorder)
-            recorder->sampleAt(sim_now.value());
-    });
-    physics.start(0);
-
     queue.runUntil(to_tick(t_end));
-    plane.stop();
-    physics.stop();
-    if (auditor) {
-        // One final pass over the end state, then record the stats.
-        auditor->stop();
-        auditor->auditNow();
-        result.auditCount = auditor->auditCount();
-        result.auditViolations = auditor->violationCount();
-    }
+    MsbTally tally = run.finish(config.slaTable);
 
     // --- outcomes -----------------------------------------------------
+    result.auditCount = tally.auditCount;
+    result.auditViolations = tally.auditViolations;
+    result.meanInitialDod = tally.meanInitialDod;
+    result.racks = std::move(tally.racks);
+    result.racksByPriority = tally.racksByPriority;
+    result.slaMetByPriority = tally.slaMetByPriority;
+    const auto sla_met = static_cast<uint64_t>(result.slaMetTotal());
     result.peakPower = Watts(result.msbPower.maxValue());
     result.maxCap = Watts(result.capPower.maxValue());
     size_t max_cap_at = result.capPower.argMax();
@@ -468,21 +339,6 @@ runChargingEvent(const ChargingEventConfig &config,
     result.maxCapFractionOfIt =
         it_at > 0.0 ? result.maxCap.value() / it_at : 0.0;
     result.breakerTripped = topo.root().breaker()->tripped();
-
-    uint64_t sla_met = 0;
-    for (int i = 0; i < n_racks; ++i) {
-        RackOutcome &outcome = result.racks[static_cast<size_t>(i)];
-        Seconds sla =
-            config.slaTable.chargeTimeSla(outcome.priority);
-        outcome.slaMet = outcome.chargeDuration.has_value()
-            && *outcome.chargeDuration <= sla;
-        int pri = power::priorityIndex(outcome.priority);
-        ++result.racksByPriority[static_cast<size_t>(pri)];
-        if (outcome.slaMet) {
-            ++result.slaMetByPriority[static_cast<size_t>(pri)];
-            ++sla_met;
-        }
-    }
 
     // --- metrics ------------------------------------------------------
     // One registry visit per event, after the hot loop: every quantity
@@ -507,9 +363,7 @@ runChargingEvent(const ChargingEventConfig &config,
     // The SLA memo counts hits with plain per-instance increments (the
     // lookup itself is only a hash probe); fold them into the registry
     // here, once, instead of per probe.
-    if (const auto *pac =
-            dynamic_cast<const PriorityAwareCoordinator *>(
-                coordinator.get())) {
+    if (pac) {
         const SlaMemoStats &memo = pac->slaMemoStats();
         DCBATT_COUNT_N("core.sla_memo_hits", memo.hits);
         DCBATT_COUNT_N("core.sla_memo_misses", memo.misses);
@@ -535,9 +389,7 @@ runChargingEvent(const ChargingEventConfig &config,
         static obs::Histogram &memo_hist = obs::histogram(
             "core.sla_memo_occupancy",
             {16.0, 64.0, 256.0, 1024.0, 4096.0});
-        if (const auto *pac =
-                dynamic_cast<const PriorityAwareCoordinator *>(
-                    coordinator.get())) {
+        if (pac) {
             memo_hist.observe(static_cast<double>(
                 pac->slaMemoStats().peakOccupancy));
         }

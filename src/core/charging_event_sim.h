@@ -3,13 +3,15 @@
  * The charging-event simulation engine (Section V-B's experimental
  * setup).
  *
- * Builds an MSB subtree with the paper's fleet (316 racks by default),
- * replays a rack power trace, injects an MSB-level open transition at
- * the trace's first peak (when available power is most constrained),
- * and runs one of the charging policies through the Dynamo control
- * plane while recording everything Figs. 13-15 and Table III report:
- * the MSB power series, server capping, per-rack charge-completion
- * times, and SLA satisfaction by priority.
+ * Builds an MSB subtree with the paper's fleet (316 racks by default)
+ * and runs it as one core::MsbRun (core/msb_run.h, the loop the
+ * region engine shares): the rack power trace is replayed through a
+ * TraceSetFeed, an MSB-level open transition is injected at the
+ * trace's first peak (when available power is most constrained), and
+ * one of the charging policies runs through the Dynamo control plane.
+ * This file adds what Figs. 13-15 and Table III report: the MSB power
+ * series, server capping, and the event window and metrics around
+ * MsbRun's per-rack charge-completion times and SLA fold.
  *
  * The target mean battery DOD is dialled in the same way as the
  * paper: by choosing the open-transition length (each rack's DOD is
@@ -25,6 +27,7 @@
 #include <vector>
 
 #include "battery/bbu_params.h"
+#include "core/msb_run.h"
 #include "core/priority_aware_coordinator.h"
 #include "core/sla.h"
 #include "dynamo/controller.h"
@@ -93,24 +96,6 @@ struct ChargingEventConfig
 
     /** Rack priorities; must cover the trace's rack count (cycled). */
     std::vector<power::Priority> priorities;
-};
-
-/** Per-rack outcome of a charging event. */
-struct RackOutcome
-{
-    int rackId = -1;
-    power::Priority priority = power::Priority::P2;
-    /** DOD when charging began. */
-    double initialDod = 0.0;
-    /** Time from charging start to fully charged (unset: never). */
-    std::optional<util::Seconds> chargeDuration;
-    bool slaMet = false;
-    /** Battery ran out during the open transition (server outage). */
-    bool sawOutage = false;
-    /** Rack was ever power-capped during the event. */
-    bool everCapped = false;
-    /** Rack charging was ever postponed (held). */
-    bool everHeld = false;
 };
 
 /** Everything the benches need from one run. */

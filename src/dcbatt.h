@@ -57,6 +57,7 @@
 #include "core/charging_event_sim.h"
 #include "core/global_coordinator.h"
 #include "core/local_coordinator.h"
+#include "core/msb_run.h"
 #include "core/priority_aware_coordinator.h"
 #include "core/sla.h"
 #include "core/sla_current.h"

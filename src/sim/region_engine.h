@@ -3,30 +3,32 @@
  * Region-scale simulation engine: dozens of MSBs, one deterministic
  * run.
  *
- * Each MSB of a power::RegionSpec becomes an independent *shard*: its
- * own Topology, Dynamo control plane, streaming trace source, and —
- * in the default sharded mode — its own EventQueue. Shards only
- * interact through the cross-MSB budget splitter
- * (core::splitRegionBudget), which runs every coordination tick on
- * the driving thread and imposes per-MSB power ceilings via
- * dynamo::BreakerController::setLimitCeiling.
+ * Each MSB of a power::RegionSpec becomes an independent *shard*: one
+ * core::MsbRun (the loop core::runChargingEvent also runs; DESIGN.md
+ * §16) fed by its own streaming trace source, in the default sharded
+ * mode on its own EventQueue. Shards only interact through the
+ * cross-MSB budget splitter (core::splitRegionBudget), which runs
+ * every coordination tick on the driving thread and imposes per-MSB
+ * power ceilings via dynamo::BreakerController::setLimitCeiling.
  *
  * Determinism contract (DESIGN.md §15; pinned by
- * sim_region_engine_test):
+ * sim_region_engine_test and tests/golden/region_4x300_6h.txt):
  *
  *  - Shard count equals the MSB count and is part of the spec, never
  *    derived from --threads. Shard i's trace seed is substream i of
  *    the region seed.
  *  - Sharded mode advances every shard queue in lockstep chunks of
- *    one coordination period on a util::ThreadPool; all cross-shard
- *    reads (budget reports, rollups) happen between chunks, on the
- *    driving thread, in shard-index order. Results are therefore
- *    bit-identical at any --threads.
+ *    one coordination period on a util::ThreadPool, each shard under
+ *    an obs::RunScope named after its MSB; all cross-shard reads
+ *    (budget reports, rollups) happen between chunks, on the driving
+ *    thread, in shard-index order. Results and the event journal are
+ *    therefore bit-identical at any --threads.
  *  - Single-queue mode (RegionRunOptions::singleQueue) runs the same
  *    spec through ONE EventQueue carrying every shard's events plus
  *    the splitter as highest-priority same-tick events. It is the
  *    reference implementation for the differential test: both modes
- *    must produce byte-identical artifacts. The chunked runUntil
+ *    must produce byte-identical artifacts (its journal, logged in
+ *    the default scope, is not one of them). The chunked runUntil
  *    boundary sits at (tick - 1) precisely so that boundary-tick
  *    physics runs after the splitter in both modes.
  *
@@ -129,7 +131,10 @@ struct RegionResult
     uint64_t coordinationTicks = 0;
     /** Splitter audits run (one per coordination tick). */
     uint64_t budgetAudits = 0;
-    /** Per-shard physical-invariant audit passes (if enabled). */
+    /**
+     * Per-shard physical-invariant audit passes (if enabled), each
+     * shard's final pass over the end state included.
+     */
     uint64_t physicalAudits = 0;
     /** Sum over shards of each trace source's peak resident bytes. */
     size_t tracePeakResidentBytes = 0;

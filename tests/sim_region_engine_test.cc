@@ -10,10 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "obs/event_log.h"
 #include "power/region_spec.h"
 #include "sim/region_engine.h"
+#include "sim/sim_time.h"
 #include "util/units.h"
 
 namespace dcbatt::sim {
@@ -145,7 +148,14 @@ TEST(RegionEngine, RunIsSane)
     // 40 min at a 30 s cadence.
     EXPECT_EQ(result.coordinationTicks, 80u);
     EXPECT_EQ(result.budgetAudits, result.coordinationTicks);
-    EXPECT_GT(result.physicalAudits, 0u);
+    // Every periodic pass before the horizon plus each MSB's final
+    // pass over the end state.
+    const Tick interval = toTicks(*spec.auditInterval);
+    const auto per_msb = static_cast<uint64_t>(
+        (toTicks(spec.duration) - 1) / interval + 1);
+    EXPECT_EQ(per_msb, 20u);
+    EXPECT_EQ(result.physicalAudits,
+              static_cast<uint64_t>(spec.msbs) * per_msb);
     EXPECT_EQ(result.regionPowerMw.size(), result.coordinationTicks);
 
     for (const RegionMsbOutcome &msb : result.msbs) {
@@ -194,6 +204,40 @@ TEST(RegionEngine, TightBudgetStillDeterministic)
     // anything.
     double budget_mw = 0.6 * spec.msbLimit.value() * spec.msbs / 1e6;
     EXPECT_LE(a.grantMw.maxValue(), budget_mw + 1e-6);
+}
+
+/** The event journal of one sharded run, as JSONL. */
+std::string
+journalOf(const power::RegionSpec &spec, unsigned threads)
+{
+    obs::clearEvents();
+    obs::setEventLoggingEnabled(true);
+    RegionRunOptions options;
+    options.threads = threads;
+    runRegion(spec, options);
+    obs::setEventLoggingEnabled(false);
+    std::vector<obs::EventRecord> events = obs::snapshotEvents();
+    obs::clearEvents();
+
+    // Every event is logged under its MSB's scope, so "rack 41" is
+    // never ambiguous.
+    for (const obs::EventRecord &event : events) {
+        EXPECT_TRUE(event.scope == power::msbName(spec, 0)
+                    || event.scope == power::msbName(spec, 1))
+            << "event " << event.type << " in scope '" << event.scope
+            << "'";
+    }
+    return obs::eventsToJsonl(events);
+}
+
+TEST(RegionEngine, EventJournalIsDeterministic)
+{
+    power::RegionSpec spec = smallSpec();
+    const std::string reference = journalOf(spec, 1);
+    EXPECT_NE(reference.find("\"charge_finish\""), std::string::npos);
+    EXPECT_EQ(journalOf(spec, 1), reference);
+    EXPECT_EQ(journalOf(spec, 4), reference);
+    EXPECT_EQ(journalOf(spec, 4), reference);
 }
 
 } // namespace

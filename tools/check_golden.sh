@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Golden-artifact gate: regenerate the five figure artifacts that CI
-# pins and diff them against tests/golden/. Every run is --threads 1;
-# the artifacts are deterministic, so any diff is a real behavioural
-# change, not noise.
+# Golden-artifact gate: regenerate the five figure artifacts and the
+# region-engine stdout that CI pins and diff them against
+# tests/golden/. Every run is --threads 1; the artifacts are
+# deterministic, so any diff is a real behavioural change, not noise.
 #
 # Usage: tools/check_golden.sh [--build-dir DIR] [--update]
-#   --build-dir DIR  where the bench binaries live (default: build)
+#   --build-dir DIR  the build tree holding bench/ and tools/
+#                    (default: build)
 #   --update         rewrite tests/golden/ from the current binaries
 #                    instead of diffing (use after an intentional
 #                    output change; commit the result)
@@ -29,21 +30,26 @@ done
 
 GOLDEN_DIR=tests/golden
 
-# name:extra-args — fig09a gets a short horizon so the gate stays
-# fast; the full-horizon run is the bench's own business.
+# name:binary:extra-args, the binary relative to the build tree
+# (empty: bench/<name>). fig09a gets a short horizon so the gate stays
+# fast; the full-horizon run is the bench's own business. The region
+# golden is 4 MSBs x 300 racks for 6 simulated hours.
 ARTIFACTS=(
-    "fig09a_aor_vs_charge_time:--years 2000"
-    "fig13_charging_comparison:"
-    "fig14_sla_vs_power_limit:"
-    "fig15_priority_distributions:"
-    "ablation_ordering:"
+    "fig09a_aor_vs_charge_time::--years 2000"
+    "fig13_charging_comparison::"
+    "fig14_sla_vs_power_limit::"
+    "fig15_priority_distributions::"
+    "ablation_ordering::"
+    "region_4x300_6h:tools/dcbatt_region:--msbs 4 --racks-per-msb 300 --duration-hours 6"
 )
 
 FAILURES=()
 for spec in "${ARTIFACTS[@]}"; do
     name=${spec%%:*}
-    extra=${spec#*:}
-    binary=$BUILD_DIR/bench/$name
+    rest=${spec#*:}
+    path=${rest%%:*}
+    extra=${rest#*:}
+    binary=$BUILD_DIR/${path:-bench/$name}
     golden=$GOLDEN_DIR/$name.txt
     if [ ! -x "$binary" ]; then
         echo "MISSING  $binary (build the '$BUILD_DIR' tree first)" >&2
