@@ -65,21 +65,6 @@ makePa()
                                    core::SlaTable::paperDefault()));
 }
 
-/** Attach the coordinator's SLA-memo counters to a benchmark run. */
-void
-reportSlaMemo(benchmark::State &state,
-              const core::PriorityAwareCoordinator &pa)
-{
-    const core::SlaMemoStats &memo = pa.slaMemoStats();
-    state.counters["sla_memo_hits"] = static_cast<double>(memo.hits);
-    state.counters["sla_memo_misses"] =
-        static_cast<double>(memo.misses);
-    state.counters["sla_memo_evictions"] =
-        static_cast<double>(memo.evictions);
-    state.counters["sla_memo_peak_occupancy"] =
-        static_cast<double>(memo.peakOccupancy);
-}
-
 void
 BM_PriorityAwarePlan(benchmark::State &state)
 {
@@ -91,7 +76,6 @@ BM_PriorityAwarePlan(benchmark::State &state)
         benchmark::DoNotOptimize(commands);
     }
     state.SetItemsProcessed(state.iterations() * state.range(0));
-    reportSlaMemo(state, pa);
 }
 BENCHMARK(BM_PriorityAwarePlan)->Arg(64)->Arg(316)->Arg(1024);
 
@@ -106,7 +90,6 @@ BM_PriorityAwareOverloadTick(benchmark::State &state)
         benchmark::DoNotOptimize(commands);
     }
     state.SetItemsProcessed(state.iterations() * state.range(0));
-    reportSlaMemo(state, pa);
 }
 BENCHMARK(BM_PriorityAwareOverloadTick)->Arg(316);
 

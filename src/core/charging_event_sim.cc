@@ -153,8 +153,6 @@ runChargingEvent(const ChargingEventConfig &config,
     TraceSetFeed feed(traces, t0);
     std::unique_ptr<dynamo::ChargingCoordinator> coordinator =
         makeCoordinator(config);
-    const auto *pac =
-        dynamic_cast<const PriorityAwareCoordinator *>(coordinator.get());
     MsbRun run(queue, power::Topology::build(spec, makeLocalCharger(config)),
                std::move(coordinator), config.controllerConfig, feed);
     power::Topology &topo = run.topology();
@@ -186,8 +184,8 @@ runChargingEvent(const ChargingEventConfig &config,
     std::unique_ptr<obs::TimeSeriesRecorder> recorder;
     util::ArenaVector<double> dod_scratch{
         util::ArenaAllocator<double>(event_arena)};
-    dod_scratch.reserve(static_cast<size_t>(n_racks));
     if (obs::timeSeriesArmed()) {
+        dod_scratch.reserve(static_cast<size_t>(n_racks));
         recorder = std::make_unique<obs::TimeSeriesRecorder>(
             obs::armedTimeSeriesOptions());
         // MSB aggregate load vs. the breaker limit (the Fig. 12 view).
@@ -360,15 +358,6 @@ runChargingEvent(const ChargingEventConfig &config,
     DCBATT_COUNT_N("battery.shelf_full_steps", shelf.fullSteps);
     DCBATT_COUNT_N("battery.twin_materializations",
                    shelf.materializations);
-    // The SLA memo counts hits with plain per-instance increments (the
-    // lookup itself is only a hash probe); fold them into the registry
-    // here, once, instead of per probe.
-    if (pac) {
-        const SlaMemoStats &memo = pac->slaMemoStats();
-        DCBATT_COUNT_N("core.sla_memo_hits", memo.hits);
-        DCBATT_COUNT_N("core.sla_memo_misses", memo.misses);
-        DCBATT_COUNT_N("core.sla_memo_evictions", memo.evictions);
-    }
     {
         static obs::Histogram &window_hist = obs::histogram(
             "core.event_window_s",
@@ -384,15 +373,6 @@ runChargingEvent(const ChargingEventConfig &config,
             obs::gauge("core.arena_high_water_bytes");
         arena_gauge.setMax(
             static_cast<double>(event_arena.usedBytes()));
-    }
-    {
-        static obs::Histogram &memo_hist = obs::histogram(
-            "core.sla_memo_occupancy",
-            {16.0, 64.0, 256.0, 1024.0, 4096.0});
-        if (pac) {
-            memo_hist.observe(static_cast<double>(
-                pac->slaMemoStats().peakOccupancy));
-        }
     }
     event_span.arg("physics_steps", static_cast<double>(steps));
     event_span.arg("overload_steps",

@@ -68,29 +68,8 @@ PriorityAwareCoordinator::slaCurrentFor(double dod,
     // Quantize the DOD to a 1e-6 bucket and compute from the bucket
     // value, so equal buckets always yield bit-equal currents.
     double clamped = std::clamp(dod, 0.0, 1.0);
-    auto bucket = static_cast<uint64_t>(std::llround(clamped * 1e6));
-    uint64_t key =
-        (static_cast<uint64_t>(power::priorityIndex(p)) << 32)
-        | bucket;
-    auto it = slaMemo_.find(key);
-    if (it != slaMemo_.end()) {
-        ++memoStats_.hits;
-        return it->second;
-    }
-    ++memoStats_.misses;
-    Amperes current = calc_.requiredCurrent(
-        static_cast<double>(bucket) * 1e-6, p);
-    if (slaMemo_.size() >= kSlaMemoCapacity) {
-        // Clear-on-full: deterministic and order-independent (see the
-        // declaration comment).
-        slaMemo_.clear();
-        ++memoStats_.evictions;
-    }
-    slaMemo_.emplace(key, current);
-    memoStats_.peakOccupancy = std::max(
-        memoStats_.peakOccupancy,
-        static_cast<uint64_t>(slaMemo_.size()));
-    return current;
+    double bucket = static_cast<double>(std::llround(clamped * 1e6));
+    return calc_.requiredCurrent(bucket * 1e-6, p);
 }
 
 std::vector<OverrideCommand>

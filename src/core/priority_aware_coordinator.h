@@ -28,9 +28,7 @@
 #ifndef DCBATT_CORE_PRIORITY_AWARE_COORDINATOR_H_
 #define DCBATT_CORE_PRIORITY_AWARE_COORDINATOR_H_
 
-#include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/sla_current.h"
@@ -66,30 +64,10 @@ struct PriorityAwareOptions
     util::Watts resumeMargin = util::kilowatts(2.0);
 };
 
-/** Hit/miss/eviction counters of the SLA-current memo. */
-struct SlaMemoStats
-{
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    /** Full-table clears (each drops every entry at once). */
-    uint64_t evictions = 0;
-    /** High-water mark of live entries (occupancy telemetry). */
-    uint64_t peakOccupancy = 0;
-};
-
 /** Algorithm 1 + reverse-order overload throttling. */
 class PriorityAwareCoordinator : public dynamo::ChargingCoordinator
 {
   public:
-    /**
-     * Memo capacity: ~2^32 DOD buckets exist per priority, so an
-     * adversarial DOD stream could otherwise grow the table without
-     * bound inside a long sweep process. 4096 entries cover every
-     * fleet the experiments run (#racks distinct DODs per event) with
-     * two orders of magnitude of slack.
-     */
-    static constexpr size_t kSlaMemoCapacity = 4096;
-
     PriorityAwareCoordinator(SlaCurrentCalculator calculator,
                              PriorityAwareOptions options = {});
 
@@ -129,9 +107,6 @@ class PriorityAwareCoordinator : public dynamo::ChargingCoordinator
         return plan_;
     }
 
-    /** SLA-current memo counters since construction. */
-    const SlaMemoStats &slaMemoStats() const { return memoStats_; }
-
   private:
     /**
      * Sort (priority asc, DOD asc, id) honoring the ablation knobs.
@@ -144,18 +119,10 @@ class PriorityAwareCoordinator : public dynamo::ChargingCoordinator
     grantOrder(const std::vector<dynamo::RackChargeInfo> &racks) const;
 
     /**
-     * SLA current for (DOD, priority), memoized per (priority, DOD
-     * bucket of 1e-6) so the charge-time bisection runs at most once
-     * per bucket instead of once per rack per plan — fleets cluster
-     * around few distinct DODs, and repeated charging events re-plan
-     * with the same inputs every event. The bucketing error (DOD
-     * rounded to the nearest 1e-6) moves the resulting current by
+     * SLA current for (DOD, priority), computed from the DOD rounded
+     * to the nearest 1e-6, so DODs within one bucket always yield
+     * bit-equal currents. The rounding moves the current by
      * microamperes, far below the hardware's command resolution.
-     *
-     * The memo is bounded at kSlaMemoCapacity entries: on overflow the
-     * whole table is cleared (deterministic, order-independent — an
-     * LRU chain would make the retained set depend on rack visit
-     * order). A clear costs at most one re-bisection per live bucket.
      */
     util::Amperes slaCurrentFor(double dod, power::Priority p) const;
 
@@ -173,9 +140,6 @@ class PriorityAwareCoordinator : public dynamo::ChargingCoordinator
     PriorityAwareOptions options_;
     /** Reused grant-order buffer (see grantOrder). */
     mutable std::vector<const dynamo::RackChargeInfo *> orderBuf_;
-    /** Memo for slaCurrentFor: (priority, DOD bucket) -> current. */
-    mutable std::unordered_map<uint64_t, util::Amperes> slaMemo_;  // detlint: allow(unordered-container) -- memo cache, keyed lookup only
-    mutable SlaMemoStats memoStats_;
     /**
      * Plan state indexed by rack id. A dense vector, not a map: the
      * tick path probes commanded/held several times per rack per

@@ -17,25 +17,20 @@ using util::Seconds;
 
 namespace {
 
-/**
- * Diurnal shape: cosine peaking at the configured time of day, shifted
- * by @p shift_s seconds (a phase in hours times 3600, as
- * trace_generator.cc computes it inline).
- */
+constexpr double kDayS = 24.0 * 3600.0;
+
+/** Diurnal angle (radians) of a time or shift of @p t_s seconds. */
 double
-diurnalShape(double t_s, double peak_s, double shift_s)
+diurnalAngle(double t_s)
 {
-    constexpr double day = 24.0 * 3600.0;
-    double shifted = t_s - peak_s - shift_s;
-    return std::cos(2.0 * std::numbers::pi * shifted / day);
+    return 2.0 * std::numbers::pi * t_s / kDayS;
 }
 
 /** Weekly modulation: weekends run flatter/lower. */
 double
 weeklyScale(double t_s, double weekend_dip)
 {
-    constexpr double day = 24.0 * 3600.0;
-    int day_index = static_cast<int>(t_s / day) % 7;
+    int day_index = static_cast<int>(t_s / kDayS) % 7;
     bool weekend = day_index >= 5;
     return weekend ? 1.0 - weekend_dip : 1.0;
 }
@@ -67,7 +62,8 @@ StreamingTraceSource::StreamingTraceSource(StreamingTraceSpec spec)
     auto racks = static_cast<size_t>(base.rackCount);
     params_.base.resize(racks);
     params_.amplitude.resize(racks);
-    params_.phaseShiftS.resize(racks);
+    params_.phaseCos.resize(racks);
+    params_.phaseSin.resize(racks);
     params_.innovationSigma.resize(racks);
     params_.noiseRho.resize(racks);
     std::vector<double> ar(racks);
@@ -85,7 +81,9 @@ StreamingTraceSource::StreamingTraceSource(StreamingTraceSpec spec)
             prof.diurnalAmplitude * rng.uniform(0.7, 1.3);
         double phase_h =
             prof.diurnalPhaseShift + rng.uniform(-1.0, 1.0);
-        params_.phaseShiftS[i] = phase_h * 3600.0;
+        double phase_angle = diurnalAngle(phase_h * 3600.0);
+        params_.phaseCos[i] = std::cos(phase_angle);
+        params_.phaseSin[i] = std::sin(phase_angle);
         double rho = prof.noisePersistence;
         params_.innovationSigma[i] =
             prof.noiseSigma * std::sqrt(1.0 - rho * rho);
@@ -117,39 +115,60 @@ StreamingTraceSource::generateWindow(size_t w)
         first, count, base.rackCount);
     double *data = window->mutableData();
     const double peak_s = base.peakTimeOfDay.value();
+    const double lo_w = base.rackMinPower.value();
+    const double hi_w = base.rackMaxPower.value();
+    const double *base_w = params_.base.data();
+    const double *amplitude = params_.amplitude.data();
+    const double *cb = params_.phaseCos.data();
+    const double *sb = params_.phaseSin.data();
+    const double *sigma = params_.innovationSigma.data();
+    const double *rho = params_.noiseRho.data();
+    double *state = ar.data();
     for (size_t s = 0; s < count; ++s) {
         double t = base.startTime.value()
             + static_cast<double>(first + s) * base.step.value();
         double weekly = weeklyScale(t, base.weekendDip);
+        // Each rack's diurnal term is cos(a - b_i) for the sample's
+        // angle a and the rack's phase angle b_i; expanded as
+        // cos a cos b_i + sin a sin b_i, the sample pays one cos and
+        // one sin for the whole row.
+        double angle = diurnalAngle(t - peak_s);
+        double ca = std::cos(angle);
+        double sa = std::sin(angle);
         double *row = data + s * racks;
         double raw_sum = 0.0;
-        for (size_t i = 0; i < racks; ++i) {
-            double innovation =
-                rng.normal(0.0, params_.innovationSigma[i]);
-            ar[i] = params_.noiseRho[i] * ar[i] + innovation;
+        auto emit = [&](size_t i, double z) {
+            state[i] = rho[i] * state[i] + z * sigma[i];
             double shape = 1.0
-                + params_.amplitude[i] * weekly
-                    * diurnalShape(t, peak_s, params_.phaseShiftS[i])
-                + ar[i];
-            double watts = std::clamp(params_.base[i] * shape,
-                                      base.rackMinPower.value(),
-                                      base.rackMaxPower.value());
+                + amplitude[i] * weekly * (ca * cb[i] + sa * sb[i])
+                + state[i];
+            double watts = std::clamp(base_w[i] * shape, lo_w, hi_w);
             row[i] = watts;
             raw_sum += watts;
+        };
+        // Racks 2k and 2k+1 take the two variates of one polar
+        // iteration; an odd last rack takes z0 and drops z1.
+        size_t i = 0;
+        for (; i + 1 < racks; i += 2) {
+            double z0 = 0.0, z1 = 0.0;
+            rng.standardNormalPair(z0, z1);
+            emit(i, z0);
+            emit(i + 1, z1);
+        }
+        if (i < racks) {
+            double z0 = 0.0, z1 = 0.0;
+            rng.standardNormalPair(z0, z1);
+            emit(i, z0);
         }
         // Calibrate the column so the aggregate tracks the target
         // diurnal band exactly (preserves rack-to-rack ratios).
         double target = base.aggregateMean.value()
-            + base.aggregateAmplitude.value() * weekly
-                * diurnalShape(t, peak_s, 0.0)
+            + base.aggregateAmplitude.value() * weekly * ca
             + rng.normal(0.0, base.aggregateMean.value()
                                   * base.aggregateNoiseFraction);
         double scale = raw_sum > 0.0 ? target / raw_sum : 1.0;
-        for (size_t i = 0; i < racks; ++i) {
-            row[i] = std::clamp(row[i] * scale,
-                                base.rackMinPower.value(),
-                                base.rackMaxPower.value());
-        }
+        for (size_t r = 0; r < racks; ++r)
+            row[r] = std::clamp(row[r] * scale, lo_w, hi_w);
     }
 
     if (checkpoints_.size() == w + 1 && w + 1 < windowCount_)

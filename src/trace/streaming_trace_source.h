@@ -184,16 +184,17 @@ class StreamingTraceSource
   private:
     /**
      * Per-rack static load parameters (drawn once from substream 0),
-     * kept in the form the per-sample loop consumes: the diurnal
-     * phase as a shift in seconds and the AR(1) innovation sigma,
+     * kept in the form the per-sample loop consumes: the cos and sin
+     * of the diurnal phase angle and the AR(1) innovation sigma,
      * each computed once with the expression the loop would repeat.
      */
     struct RackParams
     {
         std::vector<double> base;
         std::vector<double> amplitude;
-        /** Diurnal phase shift in seconds (phase hours * 3600). */
-        std::vector<double> phaseShiftS;
+        /** cos and sin of the phase angle 2*pi*(phase h * 3600)/day. */
+        std::vector<double> phaseCos;
+        std::vector<double> phaseSin;
         /** noiseSigma * sqrt(1 - rho^2). */
         std::vector<double> innovationSigma;
         std::vector<double> noiseRho;

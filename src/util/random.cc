@@ -1,6 +1,7 @@
 #include "util/random.h"
 
 #include <algorithm>
+#include <cmath>
 #include <unordered_map>
 
 #include "util/logging.h"
@@ -13,14 +14,32 @@ namespace {
 // Shared distribution bodies. Rng and SeededStream must produce the
 // same doubles from the same underlying uint64 stream, so both call
 // through these templates — the expressions (and therefore the draw
-// counts and rounding) cannot drift apart.
+// counts and rounding) cannot drift apart. Each one is the expression
+// libstdc++ 12 evaluates for a 64-bit engine, written out here so no
+// library can change it (see the file comment in random.h).
 // ---------------------------------------------------------------------
+
+/**
+ * Uniform double in [0, 1) from one 64-bit draw: the draw scaled by
+ * 2^-64 (generate_canonical<double, 53> with a full-range 64-bit
+ * engine). The largest draws round up to 1.0 in the conversion; those
+ * return the largest double below 1 instead.
+ */
+template <typename Engine>
+double
+drawCanonical(Engine &engine)
+{
+    double u = static_cast<double>(engine()) * 0x1p-64;
+    if (u >= 1.0) [[unlikely]]
+        u = std::nextafter(1.0, 0.0);
+    return u;
+}
 
 template <typename Engine>
 double
 drawUniform(Engine &engine, double lo, double hi)
 {
-    return std::uniform_real_distribution<double>(lo, hi)(engine);
+    return drawCanonical(engine) * (hi - lo) + lo;
 }
 
 template <typename Engine>
@@ -29,16 +48,43 @@ drawExponential(Engine &engine, double mean)
 {
     if (mean <= 0.0)
         panic(strf("Rng::exponential: nonpositive mean %g", mean));
-    return std::exponential_distribution<double>(1.0 / mean)(engine);
+    // Inversion with rate 1/mean; dividing by the rate (rather than
+    // multiplying by the mean) is part of the pinned expression.
+    const double rate = 1.0 / mean;
+    return -std::log(1.0 - drawCanonical(engine)) / rate;
+}
+
+/**
+ * One Marsaglia polar iteration: a point uniform in the unit disc
+ * (rejecting r^2 > 1 and the origin), then both standard-normal
+ * variates y*mult (@p z0, the one a single draw returns) and x*mult
+ * (@p z1).
+ */
+template <typename Engine>
+void
+drawStandardNormalPair(Engine &engine, double &z0, double &z1)
+{
+    double x = 0.0, y = 0.0, r2 = 0.0;
+    do {
+        x = 2.0 * drawCanonical(engine) - 1.0;
+        y = 2.0 * drawCanonical(engine) - 1.0;
+        r2 = x * x + y * y;
+    } while (r2 > 1.0 || r2 == 0.0);
+    const double mult = std::sqrt(-2.0 * std::log(r2) / r2);
+    z0 = y * mult;
+    z1 = x * mult;
 }
 
 template <typename Engine>
 double
 drawNormal(Engine &engine, double mean, double stddev)
 {
-    // A fresh distribution per draw: no carried Box-Muller state, so
-    // the result is a pure function of the engine stream.
-    return std::normal_distribution<double>(mean, stddev)(engine);
+    // One polar iteration per draw and the second variate discarded:
+    // no carried state, so the result is a pure function of the
+    // engine stream.
+    double z0 = 0.0, z1 = 0.0;
+    drawStandardNormalPair(engine, z0, z1);
+    return z0 * stddev + mean;
 }
 
 template <typename Engine>
@@ -54,6 +100,40 @@ drawTruncatedNormal(Engine &engine, double mean, double stddev,
             return x;
     }
     return std::clamp(mean, lo, hi);
+}
+
+/**
+ * Uniform integer in [lo, hi] by Lemire's nearly-divisionless method
+ * (ACM TOMACS 29(1), 2019): the high word of draw * range, redrawing
+ * while the low word falls below 2^64 mod range. The full 64-bit
+ * range takes the raw draw.
+ */
+template <typename Engine>
+int64_t
+drawUniformInt(Engine &engine, int64_t lo, int64_t hi)
+{
+    if (lo > hi)
+        panic("Rng::uniformInt: lo > hi");
+    using u128 = unsigned __int128;
+    const uint64_t span =
+        static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+    uint64_t offset = 0;
+    if (span == ~uint64_t{0}) {
+        offset = engine();
+    } else {
+        const uint64_t range = span + 1;
+        u128 product = static_cast<u128>(engine()) * range;
+        auto low = static_cast<uint64_t>(product);
+        if (low < range) {
+            const uint64_t threshold = -range % range;
+            while (low < threshold) {
+                product = static_cast<u128>(engine()) * range;
+                low = static_cast<uint64_t>(product);
+            }
+        }
+        offset = static_cast<uint64_t>(product >> 64);
+    }
+    return static_cast<int64_t>(offset + static_cast<uint64_t>(lo));
 }
 
 // ---------------------------------------------------------------------
@@ -140,7 +220,7 @@ Rng::uniform(double lo, double hi)
 int64_t
 Rng::uniformInt(int64_t lo, int64_t hi)
 {
-    return std::uniform_int_distribution<int64_t>(lo, hi)(engine_);
+    return drawUniformInt(engine_, lo, hi);
 }
 
 double
@@ -153,6 +233,12 @@ double
 Rng::normal(double mean, double stddev)
 {
     return drawNormal(engine_, mean, stddev);
+}
+
+void
+Rng::standardNormalPair(double &z0, double &z1)
+{
+    drawStandardNormalPair(engine_, z0, z1);
 }
 
 double

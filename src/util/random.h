@@ -7,17 +7,24 @@
  * the paper's models need: uniform, exponential (failure/repair/open-
  * transition processes), and normal (annual-maintenance scheduling and
  * trace noise).
+ *
+ * Sampler contract: every distribution is repo-owned code over the
+ * raw MT19937-64 stream, with a fixed algorithm, so results do not
+ * depend on the standard library. Each sampler is the expression
+ * libstdc++ 12 uses for a 64-bit engine (generate_canonical with one
+ * draw; the Marsaglia polar method for normals; Lemire's
+ * nearly-divisionless method for integers), so on libstdc++ 12 every
+ * draw equals the matching std::*_distribution draw — pinned by a
+ * draw-for-draw differential test in util_random_test.
  */
 
 #ifndef DCBATT_UTIL_RANDOM_H_
 #define DCBATT_UTIL_RANDOM_H_
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
 #include <random>
-#include <vector>
 
 namespace dcbatt::util {
 
@@ -107,6 +114,14 @@ class Rng
     /** Normal with the given mean and standard deviation. */
     double normal(double mean, double stddev);
     /**
+     * Both standard-normal variates of one polar iteration. @p z0 is
+     * bit-equal to what normal(0, 1) returns from the same engine
+     * state; @p z1 is the second variate normal() discards. Costs
+     * one polar iteration (~2.5 engine draws, a log and a sqrt) for
+     * two variates instead of one.
+     */
+    void standardNormalPair(double &z0, double &z1);
+    /**
      * Normal truncated to [lo, hi] by resampling (up to a bounded
      * number of attempts, then clamped). Used for annual-maintenance
      * intervals, which must stay positive.
@@ -138,16 +153,6 @@ class Rng
 
     /** The seed this generator was constructed with. */
     uint64_t seed() const { return seed_; }
-
-    /** Shuffle a vector in place. */
-    template <typename T>
-    void
-    shuffle(std::vector<T> &v)
-    {
-        std::shuffle(v.begin(), v.end(), engine_);
-    }
-
-    std::mt19937_64 &engine() { return engine_; }
 
   private:
     std::mt19937_64 engine_;

@@ -117,13 +117,10 @@ TEST(StreamingTrace, ResidentMemoryIsBounded)
     EXPECT_GT(source.stats().evictions, 0u);
 }
 
-TEST(StreamingTrace, BytesPinned)
+/** FNV-1a over the bits of every sample of a forward walk. */
+uint64_t
+sampleHash(StreamingTraceSource &source)
 {
-    // FNV-1a over every sample's bits. Pins the synthesis arithmetic
-    // itself: the other tests compare the source with itself, so a
-    // reordered or re-associated per-sample expression would pass
-    // them while moving every region result.
-    StreamingTraceSource source(smallSpec(1200, 2));
     uint64_t hash = 14695981039346656037ULL;
     for (double w : forwardWalk(source)) {
         auto bits = std::bit_cast<uint64_t>(w);
@@ -132,7 +129,27 @@ TEST(StreamingTrace, BytesPinned)
             hash *= 1099511628211ULL;
         }
     }
-    EXPECT_EQ(hash, 381927544425548360ULL);
+    return hash;
+}
+
+TEST(StreamingTrace, BytesPinned)
+{
+    // Pins the synthesis arithmetic itself: the other tests compare
+    // the source with itself, so a reordered or re-associated
+    // per-sample expression would pass them while moving every
+    // region result.
+    StreamingTraceSource source(smallSpec(1200, 2));
+    EXPECT_EQ(sampleHash(source), 12572482949301031902ULL);
+}
+
+TEST(StreamingTrace, BytesPinnedOddRackCount)
+{
+    // An odd fleet's last rack takes the first variate of a pair of
+    // its own and drops the second; pins that branch.
+    StreamingTraceSpec spec = smallSpec(1200, 2);
+    spec.base.rackCount = 7;
+    StreamingTraceSource source(spec);
+    EXPECT_EQ(sampleHash(source), 4737131734522264441ULL);
 }
 
 TEST(StreamingTrace, MaterializeMatchesPagedReads)

@@ -7,6 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <utility>
+
 #include "util/random.h"
 #include "util/stats.h"
 
@@ -128,16 +135,6 @@ TEST(Rng, ForkedStreamsIndependent)
     EXPECT_LT(same, 3);
 }
 
-TEST(Rng, ShuffleIsPermutation)
-{
-    Rng rng(29);
-    std::vector<int> v{1, 2, 3, 4, 5, 6, 7, 8};
-    auto original = v;
-    rng.shuffle(v);
-    std::sort(v.begin(), v.end());
-    EXPECT_EQ(v, original);
-}
-
 TEST(Rng, SubstreamSeedMatchesSubstream)
 {
     for (uint64_t seed : {0ULL, 7ULL, 0xdeadbeefULL}) {
@@ -148,6 +145,167 @@ TEST(Rng, SubstreamSeedMatchesSubstream)
         }
     }
 }
+
+TEST(Rng, StandardNormalPairFirstVariateIsNormal)
+{
+    // z0 is exactly normal(0, 1) from the same engine state, and the
+    // pair consumes exactly the draws one normal() does.
+    for (uint64_t seed : {1ULL, 42ULL, 0xdeadbeefULL}) {
+        Rng paired(seed), single(seed);
+        for (int i = 0; i < 10000; ++i) {
+            double z0 = 0.0, z1 = 0.0;
+            paired.standardNormalPair(z0, z1);
+            ASSERT_EQ(std::bit_cast<uint64_t>(z0),
+                      std::bit_cast<uint64_t>(single.normal(0.0, 1.0)))
+                << "seed " << seed << " pair " << i;
+        }
+        EXPECT_EQ(paired.uniform(), single.uniform());
+    }
+}
+
+TEST(Rng, StandardNormalPairMoments)
+{
+    // 1e5 pairs: each variate's mean within 0.01 (~3 standard errors)
+    // and variance within 0.02 (~4.5 SE) of N(0, 1), and the two
+    // variates of a pair uncorrelated to within 0.01 (~3 SE).
+    Rng rng(31);
+    constexpr int kPairs = 100000;
+    RunningStats s0, s1;
+    double cross = 0.0;
+    for (int i = 0; i < kPairs; ++i) {
+        double z0 = 0.0, z1 = 0.0;
+        rng.standardNormalPair(z0, z1);
+        s0.add(z0);
+        s1.add(z1);
+        cross += z0 * z1;
+    }
+    EXPECT_NEAR(s0.mean(), 0.0, 0.01);
+    EXPECT_NEAR(s1.mean(), 0.0, 0.01);
+    EXPECT_NEAR(s0.variance(), 1.0, 0.02);
+    EXPECT_NEAR(s1.variance(), 1.0, 0.02);
+    double covariance = cross / kPairs - s0.mean() * s1.mean();
+    double correlation = covariance / (s0.stddev() * s1.stddev());
+    EXPECT_NEAR(correlation, 0.0, 0.01);
+}
+
+#if defined(__GLIBCXX__) && _GLIBCXX_RELEASE == 12
+// ---------------------------------------------------------------------
+// The owned samplers are the expressions libstdc++ 12 evaluates for a
+// 64-bit engine, so on that library every draw must equal the
+// std::*_distribution draw from the same engine state, bit for bit,
+// with the engines kept in lockstep (equal draw counts). This is what
+// keeps every artifact's bytes unchanged by owning the samplers.
+// Compiled only against libstdc++ 12: another release may change
+// generate_canonical or a distribution, and these cases would then test
+// that library instead of the samplers. The paper goldens and
+// StreamingTrace.BytesPinned pin the bytes on any toolchain.
+// ---------------------------------------------------------------------
+
+constexpr int kDifferentialDraws = 100000;
+
+void
+expectBitEqual(double owned, double reference, const char *what, int i)
+{
+    ASSERT_EQ(std::bit_cast<uint64_t>(owned),
+              std::bit_cast<uint64_t>(reference))
+        << what << " draw " << i << ": " << owned << " vs "
+        << reference;
+}
+
+TEST(RngDifferential, UniformMatchesLibstdcxx)
+{
+    Rng rng(101);
+    std::mt19937_64 engine(101);
+    for (int i = 0; i < kDifferentialDraws; ++i) {
+        expectBitEqual(
+            rng.uniform(), std::uniform_real_distribution<double>(
+                               0.0, 1.0)(engine),
+            "uniform()", i);
+        expectBitEqual(
+            rng.uniform(-3.5, 12.25),
+            std::uniform_real_distribution<double>(-3.5, 12.25)(engine),
+            "uniform(lo, hi)", i);
+    }
+}
+
+TEST(RngDifferential, ExponentialMatchesLibstdcxx)
+{
+    Rng rng(103);
+    std::mt19937_64 engine(103);
+    for (int i = 0; i < kDifferentialDraws; ++i) {
+        double mean = 0.5 + (i % 7) * 40.0;
+        expectBitEqual(
+            rng.exponential(mean),
+            std::exponential_distribution<double>(1.0 / mean)(engine),
+            "exponential", i);
+    }
+}
+
+TEST(RngDifferential, NormalMatchesLibstdcxx)
+{
+    Rng rng(107);
+    std::mt19937_64 engine(107);
+    for (int i = 0; i < kDifferentialDraws; ++i) {
+        // A fresh distribution per draw, as the replaced code used.
+        expectBitEqual(
+            rng.normal(10.0, 3.0),
+            std::normal_distribution<double>(10.0, 3.0)(engine),
+            "normal", i);
+    }
+}
+
+TEST(RngDifferential, TruncatedNormalMatchesLibstdcxx)
+{
+    Rng rng(109);
+    SeededStream stream(109);
+    std::mt19937_64 engine(109);
+    auto reference = [&engine](double mean, double stddev, double lo,
+                               double hi) {
+        for (int attempt = 0; attempt < 64; ++attempt) {
+            double x =
+                std::normal_distribution<double>(mean, stddev)(engine);
+            if (x >= lo && x <= hi)
+                return x;
+        }
+        return std::clamp(mean, lo, hi);
+    };
+    for (int i = 0; i < kDifferentialDraws; ++i) {
+        double expected = reference(1.0, 5.0, 0.5, 1.5);
+        expectBitEqual(rng.truncatedNormal(1.0, 5.0, 0.5, 1.5),
+                       expected, "truncatedNormal", i);
+        expectBitEqual(stream.truncatedNormal(1.0, 5.0, 0.5, 1.5),
+                       expected, "SeededStream::truncatedNormal", i);
+    }
+}
+
+TEST(RngDifferential, UniformIntMatchesLibstdcxx)
+{
+    constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+    constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+    // Small, odd, power-of-two and just-over-half-range spans (the
+    // last rejects ~half its draws), the full 64-bit range (raw
+    // draws), and a degenerate single value.
+    const std::pair<int64_t, int64_t> ranges[] = {
+        {1, 6},
+        {-1000, 999},
+        {0, (int64_t{1} << 40) - 1},
+        {0, kMax},
+        {kMin / 2 - 7, kMax / 2 + 7},
+        {kMin, kMax},
+        {5, 5},
+    };
+    for (auto [lo, hi] : ranges) {
+        Rng rng(113);
+        std::mt19937_64 engine(113);
+        for (int i = 0; i < kDifferentialDraws; ++i) {
+            ASSERT_EQ(rng.uniformInt(lo, hi),
+                      std::uniform_int_distribution<int64_t>(lo, hi)(
+                          engine))
+                << "[" << lo << ", " << hi << "] draw " << i;
+        }
+    }
+}
+#endif // __GLIBCXX__ && _GLIBCXX_RELEASE == 12
 
 // ---------------------------------------------------------------------
 // CachedSeedEngine must be a drop-in for std::mt19937_64: the raw

@@ -8,9 +8,9 @@ one file (see ``source.py``).  Rules are gated per module class:
   modules whose outputs feed the golden artifacts.  All rules apply.
 * ``infra`` — ``src/util``, ``src/obs``: support code that may keep
   thread-local scratch or iterate unordered containers for lookups,
-  but must still never smuggle wall clock, entropy, or unmanaged
-  threads into the simulation (only ``TraceSpan`` reads a clock, under
-  an audited suppression).
+  but must still never smuggle wall clock, entropy, library-defined
+  samplers, or unmanaged threads into the simulation (only
+  ``TraceSpan`` reads a clock, under an audited suppression).
 
 Findings are (rule, line, message, snippet) tuples; the engine applies
 suppressions afterwards so unused ``allow`` comments can be reported.
@@ -144,6 +144,24 @@ def _check_raw_thread(src: SourceFile) -> list[Finding]:
         "parallelFor, whose reduction order is deterministic.")
 
 
+# -- std-distribution ------------------------------------------------
+
+_STD_DISTRIBUTION_RE = re.compile(
+    r"\bstd::\w+_distribution\b"
+    r"|\bstd::generate_canonical\b"
+    r"|\bstd::shuffle\b")
+
+
+def _check_std_distribution(src: SourceFile) -> list[Finding]:
+    return _line_findings(
+        src, "std-distribution", _STD_DISTRIBUTION_RE,
+        "standard-library sampler: the algorithms behind "
+        "std::*_distribution, std::generate_canonical and std::shuffle "
+        "are implementation-defined, so the bytes would follow the "
+        "library. Draw through util::Rng / util::SeededStream, whose "
+        "samplers are repo-owned.")
+
+
 # -- pointer-sort-key ------------------------------------------------
 
 _LAMBDA_INTRO_RE = re.compile(r"\[[^\[\]]*\]\s*\(([^()]*)\)")
@@ -231,6 +249,10 @@ RULES: tuple[Rule, ...] = (
     Rule("entropy", (DETERMINISTIC, INFRA),
          "entropy sources bypassing the seeded util::Rng",
          _check_entropy),
+    Rule("std-distribution", (DETERMINISTIC, INFRA),
+         "std::*_distribution / generate_canonical / shuffle "
+         "(library-defined algorithms)",
+         _check_std_distribution),
     Rule("pointer-sort-key", (DETERMINISTIC, INFRA),
          "sort keys/comparators over raw pointer values",
          _check_pointer_sort_key),
