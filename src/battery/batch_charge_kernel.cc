@@ -5,60 +5,18 @@
 #include <cstdlib>
 #include <string_view>
 
-#include "battery/batch_charge_kernel_internal.h"
-#include "util/logging.h"
-
 namespace dcbatt::battery {
-
-namespace internal {
-
-bool
-cpuHasAvx2()
-{
-#if defined(__x86_64__) || defined(_M_X64)
-    return __builtin_cpu_supports("avx2");
-#else
-    return false;
-#endif
-}
-
-} // namespace internal
 
 bool
 batchChargingEnabled()
 {
     // Read per call (once per Topology::stepRacks, not per rack): the
     // differential tests flip the variable within one process.
+    // detlint: allow(env-read) -- DCBATT_BATCH=off picks the per-rack
+    // walk, which gives the same bytes; it is the goldens' oracle of
+    // the batch lanes.
     const char *env = std::getenv("DCBATT_BATCH");
     return !(env != nullptr && std::string_view(env) == "off");
-}
-
-SimdMode
-activeSimdMode()
-{
-    static const SimdMode mode = [] {
-        const char *env = std::getenv("DCBATT_SIMD");
-        std::string_view v = env != nullptr ? env : "auto";
-        if (v == "off" || v == "scalar")
-            return SimdMode::Scalar;
-#ifdef DCBATT_HAVE_AVX2_TU
-        bool has = internal::cpuHasAvx2();
-        if (v == "avx2" && !has) {
-            util::warn("DCBATT_SIMD=avx2 requested but this CPU lacks "
-                       "AVX2; using scalar lanes");
-            return SimdMode::Scalar;
-        }
-        if (v != "auto" && v != "avx2")
-            util::warn("unknown DCBATT_SIMD value; using auto");
-        return has ? SimdMode::Avx2 : SimdMode::Scalar;
-#else
-        if (v == "avx2")
-            util::warn("DCBATT_SIMD=avx2 requested but this build has "
-                       "no AVX2 lanes; using scalar");
-        return SimdMode::Scalar;
-#endif
-    }();
-    return mode;
 }
 
 BatchChargeKernel::BatchChargeKernel(const BbuParams &params)
@@ -81,15 +39,14 @@ BatchChargeKernel::BatchChargeKernel(const BbuParams &params)
 }
 
 void
-BatchChargeKernel::ccLanesScalar(BatchChargeStage &stage, double dt,
-                                 std::size_t begin) const
+BatchChargeKernel::ccLanes(BatchChargeStage &stage, double dt) const
 {
     const std::size_t n = stage.ccLanes();
     const double *dod = stage.ccDod.data();
     const double *sp = stage.ccSetpointA.data();
     double *dod_out = stage.ccDodOut.data();
     double *input_w = stage.ccInputW.data();
-    for (std::size_t i = begin; i < n; ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
         // applyCharge(dod, setpoint * dt): the whole step stays inside
         // the CC segment (the exporter checked the handover).
         double nd = std::max(0.0, dod[i] - (sp[i] * dt) / refillC_);
@@ -103,8 +60,8 @@ BatchChargeKernel::ccLanesScalar(BatchChargeStage &stage, double dt,
 }
 
 void
-BatchChargeKernel::cvLanesScalar(BatchChargeStage &stage, double dt,
-                                 double factor, std::size_t begin) const
+BatchChargeKernel::cvLanes(BatchChargeStage &stage, double dt,
+                           double factor) const
 {
     const std::size_t n = stage.cvLanes();
     const double *dod = stage.cvDod.data();
@@ -112,7 +69,7 @@ BatchChargeKernel::cvLanesScalar(BatchChargeStage &stage, double dt,
     const double *elapsed = stage.cvElapsedS.data();
     double *dod_out = stage.cvDodOut.data();
     double *elapsed_out = stage.cvElapsedOutS.data();
-    for (std::size_t i = begin; i < n; ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
         // applyCharge(dod, cvDeliveredCoulombs(i0, i0 * factor)).
         double i1 = i0[i] * factor;
         double nd =
@@ -123,8 +80,7 @@ BatchChargeKernel::cvLanesScalar(BatchChargeStage &stage, double dt,
 }
 
 void
-BatchChargeKernel::advanceWithMode(BatchChargeStage &stage, double dt,
-                                   SimdMode mode) const
+BatchChargeKernel::advance(BatchChargeStage &stage, double dt) const
 {
     stage.ccDodOut.resize(stage.ccLanes());
     stage.ccInputW.resize(stage.ccLanes());
@@ -137,33 +93,13 @@ BatchChargeKernel::advanceWithMode(BatchChargeStage &stage, double dt,
     // the per-pack memo would return, since all lanes advance by dt.
     const double factor = std::exp(-dt / tauS_);
 
-    std::size_t cc_done = 0;
-    std::size_t cv_done = 0;
-#ifdef DCBATT_HAVE_AVX2_TU
-    if (mode == SimdMode::Avx2) {
-        internal::BatchChargeConsts c{refillC_, effic_,      emptyV_,
-                                      cvV_,     tauS_,       ocvSocSpan_,
-                                      ocvVoltSpan_};
-        cc_done = internal::ccLanesAvx2(
-            c, dt, stage.ccLanes(), stage.ccDod.data(),
-            stage.ccSetpointA.data(), stage.ccDodOut.data(),
-            stage.ccInputW.data());
-        cv_done = internal::cvLanesAvx2(
-            c, dt, factor, stage.cvLanes(), stage.cvDod.data(),
-            stage.cvI0A.data(), stage.cvElapsedS.data(),
-            stage.cvDodOut.data(), stage.cvElapsedOutS.data());
-    }
-#else
-    (void)mode;
-#endif
-    ccLanesScalar(stage, dt, cc_done);
-    cvLanesScalar(stage, dt, factor, cv_done);
+    ccLanes(stage, dt);
+    cvLanes(stage, dt, factor);
 
-    // Per-lane CV current and input power. The decay stays a scalar
-    // libm std::exp in both modes: refreshDerived() recomputes
+    // Per-lane CV current and input power. The decay is libm's scalar
+    // std::exp of the elapsed time: refreshDerived() recomputes
     // e^{-elapsed/tau} from scratch (not i0 * factor — the floats
-    // differ), and vectorized exp implementations are not bit-equal
-    // to libm's.
+    // differ).
     const std::size_t n = stage.cvLanes();
     const double *sp = stage.cvSetpointA.data();
     const double *elapsed_out = stage.cvElapsedOutS.data();

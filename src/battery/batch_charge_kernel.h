@@ -8,27 +8,22 @@
  * the same dt and the same calibration — only their (dod, setpoint,
  * cvElapsed) state differs. This kernel hoists that update out of the
  * per-rack object walk into two dense lanes (one CC, one CV) so the
- * arithmetic runs over contiguous arrays, auto-vectorized in the
- * scalar build and hand-vectorized under AVX2 when the CPU has it.
+ * arithmetic runs over contiguous arrays the compiler may
+ * auto-vectorize.
  *
- * Bit-exactness contract: both lane implementations evaluate exactly
- * the expressions BbuModel::stepAnalytic() + refreshDerived() evaluate
- * for a strictly interior segment (no phase boundary inside dt), in
- * the same order, with no FMA contraction (the AVX2 translation unit
- * is compiled with -mavx2 -ffp-contract=off and never uses fused
- * intrinsics). The per-lane CV current decay keeps its scalar
- * std::exp — transcendentals are the one place vector math libraries
- * diverge from libm, and the golden artifacts are byte-compared.
- * battery_batch_kernel_test pins both parities (batch vs. BbuModel
- * step, AVX2 vs. scalar).
+ * Bit-exactness contract: the lanes evaluate exactly the expressions
+ * BbuModel::stepAnalytic() + refreshDerived() evaluate for a strictly
+ * interior segment (no phase boundary inside dt), in the same order.
+ * The whole build runs with -ffp-contract=off, so neither side fuses
+ * a multiply-add on an FMA target. The per-lane CV current decay is
+ * libm's scalar std::exp, as in refreshDerived(); the golden
+ * artifacts are byte-compared. battery_batch_kernel_test pins the
+ * batch-vs-BbuModel-step parity.
  *
- * Runtime switches (read from the environment):
- *  - DCBATT_BATCH=off      disable batch staging entirely (Topology
- *                          falls back to the per-rack step walk);
- *  - DCBATT_SIMD=off       force the scalar lanes;
- *  - DCBATT_SIMD=avx2      require the AVX2 lanes (scalar fallback
- *                          with a warning if the CPU lacks them);
- *  - DCBATT_SIMD=auto      (default) AVX2 when the CPU supports it.
+ * DCBATT_BATCH=off (read from the environment) disables batch staging
+ * entirely: Topology falls back to the per-rack step walk. The
+ * goldens are re-diffed under it, so it is the whole-artifact oracle
+ * of the lanes.
  */
 
 #ifndef DCBATT_BATTERY_BATCH_CHARGE_KERNEL_H_
@@ -40,16 +35,6 @@
 #include "battery/bbu_params.h"
 
 namespace dcbatt::battery {
-
-/** Which instruction set the batch lanes run on. */
-enum class SimdMode
-{
-    Scalar,
-    Avx2,
-};
-
-/** The resolved DCBATT_SIMD mode (env + CPU probe, cached). */
-SimdMode activeSimdMode();
 
 /** Whether Topology should stage batch lanes at all (DCBATT_BATCH). */
 bool batchChargingEnabled();
@@ -109,22 +94,12 @@ class BatchChargeKernel
   public:
     explicit BatchChargeKernel(const BbuParams &params);
 
-    /** Advance every staged lane by @p dt under the resolved mode. */
-    void
-    advance(BatchChargeStage &stage, double dt) const
-    {
-        advanceWithMode(stage, dt, activeSimdMode());
-    }
-
-    /** Advance with an explicit mode (the parity test's hook). */
-    void advanceWithMode(BatchChargeStage &stage, double dt,
-                         SimdMode mode) const;
+    /** Advance every staged lane by @p dt. */
+    void advance(BatchChargeStage &stage, double dt) const;
 
   private:
-    void ccLanesScalar(BatchChargeStage &stage, double dt,
-                       std::size_t begin) const;
-    void cvLanesScalar(BatchChargeStage &stage, double dt, double factor,
-                       std::size_t begin) const;
+    void ccLanes(BatchChargeStage &stage, double dt) const;
+    void cvLanes(BatchChargeStage &stage, double dt, double factor) const;
 
     /** Derived constants, bit-equal to BbuModel's (same expressions). */
     double refillC_;

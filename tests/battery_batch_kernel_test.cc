@@ -7,8 +7,7 @@
  *     the state BbuModel::step() would have produced (every double
  *     bit-equal), across CC, CV, and the boundary steps that fall
  *     back to the scalar path;
- *  2. the AVX2 lanes must be bit-identical to the scalar lanes;
- *  3. a Topology stepped with batching on and off must produce
+ *  2. a Topology stepped with batching on and off must produce
  *     byte-identical fleet rows.
  */
 
@@ -19,11 +18,9 @@
 #include <vector>
 
 #include "battery/batch_charge_kernel.h"
-#include "battery/batch_charge_kernel_internal.h"
 #include "battery/bbu.h"
 #include "obs/metrics.h"
 #include "power/topology.h"
-#include "util/random.h"
 
 namespace dcbatt::battery {
 namespace {
@@ -83,8 +80,7 @@ TEST(BatchLane, ExportApplyMatchesScalarStepBitExact)
                     } else {
                         kind == BatchLaneKind::Cc ? ++cc_lanes
                                                   : ++cv_lanes;
-                        kernel.advanceWithMode(stage, dt,
-                                               SimdMode::Scalar);
+                        kernel.advance(stage, dt);
                         batched.applyBatchLane(kind, 0, stage);
                     }
                     expectBitEqual(scalar, batched, i);
@@ -116,14 +112,6 @@ TEST(BatchLane, IneligibleConfigurationsStayScalar)
     EXPECT_EQ(paused.tryExportBatchLane(4.0, stage),
               BatchLaneKind::None);
 
-    BbuParams numeric = params;
-    numeric.integrator = CcCvIntegrator::NumericReference;
-    BbuModel reference(numeric);
-    reference.forceDod(0.8);
-    reference.startCharging(Amperes(5.0));
-    EXPECT_EQ(reference.tryExportBatchLane(4.0, stage),
-              BatchLaneKind::None);
-
     // A step that crosses the CC->CV handover must not stage.
     BbuModel near_handover(params);
     near_handover.forceDod(0.8);
@@ -133,59 +121,6 @@ TEST(BatchLane, IneligibleConfigurationsStayScalar)
 
     EXPECT_EQ(stage.ccLanes(), 0u);
     EXPECT_EQ(stage.cvLanes(), 0u);
-}
-
-TEST(BatchKernel, Avx2LanesMatchScalarBitExact)
-{
-    if (!internal::cpuHasAvx2())
-        GTEST_SKIP() << "CPU has no AVX2";
-    BbuParams params;
-    BatchChargeKernel kernel(params);
-    util::Rng rng(0x5eed);
-    // Odd lane count: the last three CC / CV lanes take the scalar
-    // tail inside the AVX2 mode, which must splice seamlessly.
-    constexpr size_t kLanes = 1003;
-    BatchChargeStage scalar_stage;
-    for (size_t i = 0; i < kLanes; ++i) {
-        scalar_stage.ccDod.push_back(rng.uniform(0.25, 1.0));
-        scalar_stage.ccSetpointA.push_back(rng.uniform(1.0, 5.0));
-        scalar_stage.cvDod.push_back(rng.uniform(0.0, 0.2));
-        scalar_stage.cvI0A.push_back(rng.uniform(0.4, 5.0));
-        scalar_stage.cvSetpointA.push_back(rng.uniform(1.0, 5.0));
-        scalar_stage.cvElapsedS.push_back(rng.uniform(0.0, 900.0));
-    }
-    BatchChargeStage avx_stage = scalar_stage;
-    for (double dt : {1.0, 4.0, 37.5}) {
-        kernel.advanceWithMode(scalar_stage, dt, SimdMode::Scalar);
-        kernel.advanceWithMode(avx_stage, dt, SimdMode::Avx2);
-        for (size_t i = 0; i < kLanes; ++i) {
-            ASSERT_EQ(
-                std::bit_cast<uint64_t>(scalar_stage.ccDodOut[i]),
-                std::bit_cast<uint64_t>(avx_stage.ccDodOut[i]))
-                << i;
-            ASSERT_EQ(
-                std::bit_cast<uint64_t>(scalar_stage.ccInputW[i]),
-                std::bit_cast<uint64_t>(avx_stage.ccInputW[i]))
-                << i;
-            ASSERT_EQ(
-                std::bit_cast<uint64_t>(scalar_stage.cvDodOut[i]),
-                std::bit_cast<uint64_t>(avx_stage.cvDodOut[i]))
-                << i;
-            ASSERT_EQ(std::bit_cast<uint64_t>(
-                          scalar_stage.cvElapsedOutS[i]),
-                      std::bit_cast<uint64_t>(
-                          avx_stage.cvElapsedOutS[i]))
-                << i;
-            ASSERT_EQ(
-                std::bit_cast<uint64_t>(scalar_stage.cvCurrentA[i]),
-                std::bit_cast<uint64_t>(avx_stage.cvCurrentA[i]))
-                << i;
-            ASSERT_EQ(
-                std::bit_cast<uint64_t>(scalar_stage.cvInputW[i]),
-                std::bit_cast<uint64_t>(avx_stage.cvInputW[i]))
-                << i;
-        }
-    }
 }
 
 /**

@@ -1,7 +1,8 @@
 /**
  * @file
- * Property tests of the analytic CC-CV fast-forward kernel against the
- * numeric reference integrator.
+ * Property tests of the analytic CC-CV fast-forward kernel (BbuModel)
+ * against the test-only numeric reference integrator
+ * (cc_cv_numeric_reference.h).
  *
  * The parity contract (DESIGN.md section 10): while both integrators
  * are in flight they agree on every discrete outcome exactly — state,
@@ -18,11 +19,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <functional>
-#include <vector>
+#include <cstddef>
+#include <type_traits>
 
 #include "battery/bbu.h"
 #include "battery/charge_time_model.h"
+#include "cc_cv_numeric_reference.h"
 
 namespace dcbatt::battery {
 namespace {
@@ -38,18 +40,19 @@ using util::Seconds;
  * maximum setpoint.
  */
 double
-dodTolerance(const BbuParams &params)
+dodTolerance(const NumericCcCvReference &reference)
 {
-    return params.maxCurrent.value() * params.numericSubstep
-        / params.refillCharge.value() + 1e-12;
+    return reference.params().maxCurrent.value()
+        * NumericCcCvReference::kSubstep
+        / reference.params().refillCharge.value() + 1e-12;
 }
 
-BbuModel
-makeCharging(CcCvIntegrator integrator, double dod, double setpoint_a,
-             BbuParams params = {})
+/** A BbuModel or NumericCcCvReference charging from @p dod. */
+template <typename Model>
+Model
+makeCharging(double dod, double setpoint_a, BbuParams params = {})
 {
-    params.integrator = integrator;
-    BbuModel bbu(params);
+    Model bbu(params);
     bbu.forceDod(dod);
     bbu.startCharging(Amperes(setpoint_a));
     return bbu;
@@ -59,17 +62,16 @@ makeCharging(CcCvIntegrator integrator, double dod, double setpoint_a,
  * Step both integrators in lockstep until both complete, asserting the
  * parity contract at every observation point. @p mutate, when set, is
  * applied to both models at the given step index (setpoint change,
- * pause, ...).
+ * pause, ...); it takes either model type.
  */
+template <typename Mutate = std::nullptr_t>
 void
 runParity(double dod, double setpoint_a, BbuParams params = {},
-          int mutate_step = -1,
-          const std::function<void(BbuModel &)> &mutate = nullptr)
+          int mutate_step = -1, Mutate mutate = nullptr)
 {
-    BbuModel analytic =
-        makeCharging(CcCvIntegrator::Analytic, dod, setpoint_a, params);
-    BbuModel numeric = makeCharging(CcCvIntegrator::NumericReference,
-                                    dod, setpoint_a, params);
+    BbuModel analytic = makeCharging<BbuModel>(dod, setpoint_a, params);
+    NumericCcCvReference numeric =
+        makeCharging<NumericCcCvReference>(dod, setpoint_a, params);
     const Seconds dt(1.0);
     double last_analytic_dod = analytic.dod();
     int analytic_done = -1;
@@ -77,9 +79,11 @@ runParity(double dod, double setpoint_a, BbuParams params = {},
     // Generous horizon: the longest charge (100 % DOD at 1 A) takes
     // ~2.6 h + the CV tail.
     for (int step = 0; step < 6 * 3600; ++step) {
-        if (step == mutate_step && mutate) {
-            mutate(analytic);
-            mutate(numeric);
+        if constexpr (!std::is_null_pointer_v<Mutate>) {
+            if (step == mutate_step) {
+                mutate(analytic);
+                mutate(numeric);
+            }
         }
         analytic.step(dt);
         numeric.step(dt);
@@ -101,7 +105,7 @@ runParity(double dod, double setpoint_a, BbuParams params = {},
             ASSERT_LE(numeric.dod(), analytic.dod() + 1e-12)
                 << "step " << step;
             ASSERT_NEAR(analytic.dod(), numeric.dod(),
-                        dodTolerance(analytic.params()))
+                        dodTolerance(numeric))
                 << "step " << step;
         }
 
@@ -140,12 +144,12 @@ TEST(CcCvKernelParity, SetpointChangeMidCc)
 {
     // 0.7 DOD at 5 A stays in CC for ~14 min; drop to 2 A at t = 120 s
     // (still CC) and re-check the whole trajectory.
-    runParity(0.7, 5.0, {}, 120, [](BbuModel &bbu) {
+    runParity(0.7, 5.0, {}, 120, [](auto &bbu) {
         ASSERT_FALSE(bbu.inCvPhase());
         bbu.setSetpoint(Amperes(2.0));
     });
     // And an increase mid-CC.
-    runParity(0.7, 2.0, {}, 120, [](BbuModel &bbu) {
+    runParity(0.7, 2.0, {}, 120, [](auto &bbu) {
         ASSERT_FALSE(bbu.inCvPhase());
         bbu.setSetpoint(Amperes(5.0));
     });
@@ -155,7 +159,7 @@ TEST(CcCvKernelParity, SetpointChangeMidCv)
 {
     // 0.3 DOD at 5 A is below the CC threshold: the pack enters CV on
     // the first step. Change the setpoint deep in the CV tail.
-    runParity(0.3, 5.0, {}, 600, [](BbuModel &bbu) {
+    runParity(0.3, 5.0, {}, 600, [](auto &bbu) {
         ASSERT_TRUE(bbu.inCvPhase());
         bbu.setSetpoint(Amperes(2.0));
     });
@@ -163,9 +167,9 @@ TEST(CcCvKernelParity, SetpointChangeMidCv)
 
 TEST(CcCvKernelParity, PauseAndResumeMidCharge)
 {
-    BbuModel analytic = makeCharging(CcCvIntegrator::Analytic, 0.5, 3.0);
-    BbuModel numeric =
-        makeCharging(CcCvIntegrator::NumericReference, 0.5, 3.0);
+    BbuModel analytic = makeCharging<BbuModel>(0.5, 3.0);
+    NumericCcCvReference numeric =
+        makeCharging<NumericCcCvReference>(0.5, 3.0);
     const Seconds dt(1.0);
     for (int step = 0; step < 4 * 3600; ++step) {
         if (step == 100) {
@@ -212,19 +216,25 @@ TEST(CcCvKernelParity, CutoffNearSetpoint)
     runParity(0.4, 1.0, params);
 }
 
+/** Charge @p bbu to completion in 1 s steps; check the clamped end. */
+template <typename Model>
+Model
+chargeToCompletion(Model bbu)
+{
+    for (int step = 0; step < 4 * 3600 && !bbu.fullyCharged(); ++step)
+        bbu.step(Seconds(1.0));
+    EXPECT_TRUE(bbu.fullyCharged());
+    EXPECT_EQ(bbu.dod(), 0.0);
+    EXPECT_EQ(bbu.chargingCurrent().value(), 0.0);
+    return bbu;
+}
+
 TEST(CcCvKernelParity, CompletionClampsDodExactly)
 {
-    for (auto integrator : {CcCvIntegrator::Analytic,
-                            CcCvIntegrator::NumericReference}) {
-        BbuModel bbu = makeCharging(integrator, 0.5, 5.0);
-        for (int step = 0; step < 4 * 3600 && !bbu.fullyCharged();
-             ++step)
-            bbu.step(Seconds(1.0));
-        EXPECT_TRUE(bbu.fullyCharged());
-        EXPECT_EQ(bbu.dod(), 0.0);
-        EXPECT_EQ(bbu.chargingCurrent().value(), 0.0);
-        EXPECT_EQ(bbu.inputPower().value(), 0.0);
-    }
+    BbuModel analytic =
+        chargeToCompletion(makeCharging<BbuModel>(0.5, 5.0));
+    EXPECT_EQ(analytic.inputPower().value(), 0.0);
+    chargeToCompletion(makeCharging<NumericCcCvReference>(0.5, 5.0));
 }
 
 TEST(CcCvKernelParity, AnalyticLargeStepMatchesSmallSteps)
@@ -234,8 +244,8 @@ TEST(CcCvKernelParity, AnalyticLargeStepMatchesSmallSteps)
     // SoC differing only by floating-point accumulation order (one
     // applyCharge of 600 s of charge vs 600 of 1 s each) — there is
     // no O(h) integration bias to amortize.
-    BbuModel coarse = makeCharging(CcCvIntegrator::Analytic, 0.6, 4.0);
-    BbuModel fine = makeCharging(CcCvIntegrator::Analytic, 0.6, 4.0);
+    BbuModel coarse = makeCharging<BbuModel>(0.6, 4.0);
+    BbuModel fine = makeCharging<BbuModel>(0.6, 4.0);
     for (int window = 0; window < 12; ++window) {
         coarse.step(Seconds(600.0));
         for (int s = 0; s < 600; ++s)
@@ -258,8 +268,7 @@ TEST(CcCvKernelParity, ChargeTimeModelCrossCheck)
     ChargeTimeModel model;
     for (double dod : {0.3, 0.5, 0.7}) {
         for (double setpoint : {2.0, 5.0}) {
-            BbuModel bbu =
-                makeCharging(CcCvIntegrator::Analytic, dod, setpoint);
+            BbuModel bbu = makeCharging<BbuModel>(dod, setpoint);
             double t = 0.0;
             while (!bbu.fullyCharged() && t < 6.0 * 3600.0) {
                 bbu.step(Seconds(1.0));

@@ -2,7 +2,8 @@
 
 The committed baseline (``tools/detlint_baseline.json``) pins the
 tree's audited state: zero findings, plus the exact multiset of
-``allow()`` suppressions per (file, rule).  CI fails when a new
+``allow()`` suppressions per (file, rule), each with the reasons its
+comments give (recorded for review; only the counts are checked).  CI fails when a new
 finding appears *or* when a suppression is added/removed without the
 baseline being updated alongside it — suppressions are part of the
 review surface, not an escape hatch.
@@ -38,11 +39,15 @@ def build_report(results, notes, engine: str) -> dict:
 
 def baseline_from_report(report: dict) -> dict:
     counts = Counter((s["file"], s["rule"]) for s in report["suppressions"])
+    reasons: dict[tuple[str, str], set[str]] = {}
+    for s in report["suppressions"]:
+        reasons.setdefault((s["file"], s["rule"]), set()).add(s["reason"])
     return {
         "schema": SCHEMA + "-baseline",
         "finding_count": 0,
         "suppressions": [
-            {"file": file, "rule": rule, "count": count}
+            {"file": file, "rule": rule, "count": count,
+             "reasons": sorted(reasons[(file, rule)])}
             for (file, rule), count in sorted(counts.items())
         ],
     }

@@ -9,8 +9,9 @@ one file (see ``source.py``).  Rules are gated per module class:
 * ``infra`` — ``src/util``, ``src/obs``: support code that may keep
   thread-local scratch or iterate unordered containers for lookups,
   but must still never smuggle wall clock, entropy, library-defined
-  samplers, or unmanaged threads into the simulation (only
-  ``TraceSpan`` reads a clock, under an audited suppression).
+  samplers, environment knobs, or unmanaged threads into the
+  simulation (only ``TraceSpan`` reads a clock, under an audited
+  suppression).
 
 Findings are (rule, line, message, snippet) tuples; the engine applies
 suppressions afterwards so unused ``allow`` comments can be reported.
@@ -113,6 +114,20 @@ def _check_entropy(src: SourceFile) -> list[Finding]:
         src, "entropy", _ENTROPY_RE,
         "entropy source: all randomness must flow through util::Rng "
         "seeded from the scenario config so runs replay bit-identically.")
+
+
+# -- env-read --------------------------------------------------------
+
+_ENV_READ_RE = re.compile(r"\b(?:secure_)?getenv\s*\(")
+
+
+def _check_env_read(src: SourceFile) -> list[Finding]:
+    return _line_findings(
+        src, "env-read", _ENV_READ_RE,
+        "environment read: a knob outside the scenario config and the "
+        "command line can change what runs without showing in any "
+        "artifact. Make it an option, or justify the read with an "
+        "allow() comment.")
 
 
 # -- thread-local ----------------------------------------------------
@@ -253,6 +268,9 @@ RULES: tuple[Rule, ...] = (
          "std::*_distribution / generate_canonical / shuffle "
          "(library-defined algorithms)",
          _check_std_distribution),
+    Rule("env-read", (DETERMINISTIC, INFRA),
+         "getenv / secure_getenv (environment knobs)",
+         _check_env_read),
     Rule("pointer-sort-key", (DETERMINISTIC, INFRA),
          "sort keys/comparators over raw pointer values",
          _check_pointer_sort_key),

@@ -13,7 +13,8 @@ It also parses the two detlint comment directives:
 
 * ``// detlint: allow(<rule>) -- <reason>``  suppresses findings of
   ``<rule>`` on the same line, or — when the comment is alone on its
-  line — on the next non-blank code line.  The reason is mandatory.
+  line — on the next non-blank code line, with any comment lines in
+  between continuing the reason.  The reason is mandatory.
 * ``// detlint: expect(<rule>)``  marks the line as an expected
   finding; used only by the fixture corpus under ``--selftest``.
 """
@@ -112,11 +113,16 @@ class SourceFile:
                 target = line_no
                 if not code_part.strip():
                     # Comment-only line: suppress the next non-blank
-                    # code line.
+                    # code line; plain comment lines before it continue
+                    # the reason.
                     for j in range(i + 1, len(self.code_lines)):
                         if self.code_lines[j].strip():
                             target = j + 1
                             break
+                        more = self.lines[j].strip()
+                        if (more.startswith("//")
+                                and not _DIRECTIVE_RE.search(more)):
+                            reason += " " + more[2:].strip()
                 self.suppressions.append(
                     Suppression(rule=am.group(1), line=target,
                                 comment_line=line_no, reason=reason))
